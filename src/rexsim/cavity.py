@@ -14,15 +14,12 @@ import numpy as np
 
 from .constants import EPS0, HBAR
 from .errors import FitError, InconsistencyError, ValidationError
-from .quantities import AngularRate
+from .quantities import AngularRate, check_radiative_limit
+from .spectral import line_fit
 
 # Measured kappa and Q come from different instruments; they must agree to
 # this relative level before the explicitly supplied kappa is trusted.
 KAPPA_Q_TOLERANCE = 0.05
-
-# T2 may exceed the radiative limit 2*T1 by up to 5% (error bars) before the
-# inputs are rejected as inconsistent.
-RADIATIVE_LIMIT_TOLERANCE = 1.05
 
 
 def kappa_from_q(omega0: AngularRate, q_factor: float) -> AngularRate:
@@ -69,7 +66,7 @@ class CavityDevice:
                 warnings.warn(
                     f"kappa supplied ({self.kappa:.4g} rad/s) differs from omega0/Q "
                     f"({derived:.4g} rad/s) by {deviation:.1%}; using the supplied value",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
     @property
@@ -101,11 +98,7 @@ class CoherenceSummary:
     def __post_init__(self):
         if self.t1 <= 0.0 or self.t2 <= 0.0:
             raise ValidationError("T1 and T2 must be positive")
-        if self.t2 > RADIATIVE_LIMIT_TOLERANCE * 2.0 * self.t1:
-            raise InconsistencyError(
-                f"T2 = {self.t2:.3g} s exceeds the radiative limit 2*T1 = "
-                f"{2 * self.t1:.3g} s beyond tolerance"
-            )
+        check_radiative_limit(self.t1, self.t2)
         if self.pure_dephasing is not None and self.pure_dephasing > self.homogeneous_linewidth:
             raise InconsistencyError(
                 f"pure dephasing {self.pure_dephasing:.3g} Hz exceeds the homogeneous "
@@ -228,12 +221,7 @@ def g0_from_rabi(nbar: np.ndarray, rabi: np.ndarray) -> tuple[AngularRate, Angul
         raise FitError("need at least two (nbar, Omega) points")
     if np.any(nbar <= 0.0):
         raise ValidationError("photon numbers must be positive")
-    x = np.sqrt(nbar)
-    sxx = float(np.dot(x, x))
-    slope = float(np.dot(x, rabi)) / sxx
-    residuals = rabi - slope * x
-    dof = max(nbar.size - 1, 1)
-    slope_err = math.sqrt(float(np.dot(residuals, residuals)) / dof / sxx)
+    slope, _, slope_err, _ = line_fit(np.sqrt(nbar), rabi, through_origin=True)
     return slope / 2.0, slope_err / 2.0
 
 
@@ -257,10 +245,7 @@ def indistinguishability(t2: float, t1: float) -> float:
     """
     if t1 <= 0.0 or t2 <= 0.0:
         raise ValidationError("T1 and T2 must be positive")
-    if t2 > RADIATIVE_LIMIT_TOLERANCE * 2.0 * t1:
-        raise InconsistencyError(
-            f"T2 = {t2:.3g} s exceeds 2*T1 = {2 * t1:.3g} s beyond tolerance"
-        )
+    check_radiative_limit(t1, t2)
     return min(t2 / (2.0 * t1), 1.0)
 
 

@@ -12,7 +12,7 @@ outside tolerance).
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -213,18 +213,16 @@ def cmd_budget(args, doc: ConfigDocument) -> RunReport:
     for name, eff, cum in budget.rows:
         print(f"{name},{eff!r},{cum!r}")
     print(f"total,,{budget.total!r}")
-    if getattr(args, "out", None):
-        trace = TimeTrace(
-            x=np.arange(1, len(budget.rows) + 1),
-            y=[cum for _, _, cum in budget.rows],
-            x_name="stage_index",
-            x_unit="",
-            y_name="cumulative_efficiency",
-            y_unit="dimensionless",
-            metadata={name: eff for name, eff, _ in budget.rows},
-        )
-        write_trace_csv(args.out, trace, "budget")
-        print(f"wrote {args.out}", file=sys.stderr)
+    trace = TimeTrace(
+        x=np.arange(1, len(budget.rows) + 1),
+        y=[cum for _, _, cum in budget.rows],
+        x_name="stage_index",
+        x_unit="",
+        y_name="cumulative_efficiency",
+        y_unit="dimensionless",
+        metadata={name: eff for name, eff, _ in budget.rows},
+    )
+    _maybe_write(args, trace, "budget")
     report = RunReport("photon detection budget")
     report.add("overall_efficiency", budget.total, "", 0.036, 0.005, kind="abs")
     return report
@@ -312,13 +310,7 @@ def cmd_echo(args, doc: ConfigDocument) -> RunReport:
 def cmd_g2(args, doc: ConfigDocument) -> RunReport:
     scheme = doc.emitter_scheme()
     if args.no_shelving:
-        scheme = photonstats.EmitterLevelScheme(
-            p_excite=scheme.p_excite,
-            p_detect=scheme.p_detect,
-            p_shelve=0.0,
-            shelf_recovery=scheme.shelf_recovery,
-            lifetime=scheme.lifetime,
-        )
+        scheme = replace(scheme, p_shelve=0.0)
     background = doc.background()
     period = doc.pulse_period()
     seed = args.seed if args.seed is not None else doc.seed()
@@ -429,8 +421,7 @@ def cmd_spinbath(args, doc: ConfigDocument) -> RunReport:
             y_unit="kHz",
             metadata={"theta_rad": y_site.theta, "distance_m": y_site.distance},
         )
-        write_trace_csv(args.out, trace, "spinbath")
-        print(f"wrote {args.out}", file=sys.stderr)
+        _maybe_write(args, trace, "spinbath")
     return report
 
 
@@ -450,15 +441,7 @@ def cmd_flipflop(args, doc: ConfigDocument) -> RunReport:
         temps = np.linspace(args.t_min_k, args.t_max_k, args.points)
         added_t = []
         for t in temps:
-            p = spinbath.FlipFlopParams(
-                intrinsic_linewidth=params.intrinsic_linewidth,
-                dopant_density=params.dopant_density,
-                flip_rate=params.flip_rate,
-                temperature=float(t),
-                b_field=params.b_field,
-                g_ground=params.g_ground,
-                g_excited=params.g_excited,
-            )
+            p = replace(params, temperature=float(t))
             added_t.append(
                 spinbath.flipflop_added_dephasing(
                     p.intrinsic_linewidth, spinbath.flipflop_gamma_sd(p), p.flip_rate
@@ -473,8 +456,7 @@ def cmd_flipflop(args, doc: ConfigDocument) -> RunReport:
             y_unit="Hz",
             metadata={"gamma0_hz": params.intrinsic_linewidth, "b_field_t": params.b_field},
         )
-        write_trace_csv(args.out, trace, "flipflop")
-        print(f"wrote {args.out}", file=sys.stderr)
+        _maybe_write(args, trace, "flipflop")
     return report
 
 

@@ -22,12 +22,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
-from .errors import FitError, InconsistencyError, ValidationError
-from .quantities import AngularRate, OrdinaryFrequency
-from .spectral import dominant_beat
+from .errors import FitError, ValidationError
+from .quantities import AngularRate, OrdinaryFrequency, check_radiative_limit
+from .spectral import dominant_beat, interior_maxima, line_fit
 from .trace import TimeTrace
-
-RADIATIVE_LIMIT_TOLERANCE = 1.05
 
 # Defaults for the adaptive integrator path.
 RTOL = 1e-8
@@ -51,13 +49,8 @@ class TwoLevelParams:
     def __post_init__(self):
         if self.t1 <= 0.0 or self.t2 <= 0.0:
             raise ValidationError("T1 and T2 must be positive")
-        limit = 2.0 * self.t1
-        if self.t2 > limit * RADIATIVE_LIMIT_TOLERANCE:
-            raise InconsistencyError(
-                f"T2 = {self.t2:.3g} s exceeds the radiative limit 2*T1 = {limit:.3g} s"
-            )
-        if self.t2 > limit:
-            object.__setattr__(self, "t2", limit)
+        check_radiative_limit(self.t1, self.t2)
+        object.__setattr__(self, "t2", min(self.t2, 2.0 * self.t1))
 
 
 @dataclass(frozen=True)
@@ -130,15 +123,13 @@ def bloch_evolve(
     duration: float,
     method: str = "exact",
     phase: float = 0.0,
-    rtol: float = RTOL,
-    atol: float = ATOL,
 ) -> BlochState:
     """Evolve a Bloch state under constant drive for ``duration`` seconds.
 
     method "exact" uses the matrix exponential of the augmented affine
     system (exact for constant coefficients); "adaptive" integrates with an
-    embedded Runge-Kutta pair at the given tolerances and exists mainly to
-    cross-check the exact path.
+    embedded Runge-Kutta pair at tolerances RTOL and ATOL and exists mainly
+    to cross-check the exact path.
     """
     if duration < 0.0:
         raise ValidationError("duration must be non-negative")
@@ -157,8 +148,8 @@ def bloch_evolve(
             (0.0, duration),
             state.as_array(),
             method="RK45",
-            rtol=rtol,
-            atol=atol,
+            rtol=RTOL,
+            atol=ATOL,
         )
         if not sol.success:
             raise FitError(f"Bloch integrator failed: {sol.message}")
@@ -167,16 +158,12 @@ def bloch_evolve(
 
 
 def evolve_sequence(
-    state: BlochState,
-    sequence: PulseSequence,
-    t1: float,
-    t2: float,
-    method: str = "exact",
+    state: BlochState, sequence: PulseSequence, t1: float, t2: float
 ) -> BlochState:
     """Apply each segment of a pulse sequence in order."""
     for seg in sequence.segments:
         p = TwoLevelParams(rabi=seg.rabi, detuning=seg.detuning, t1=t1, t2=t2)
-        state = bloch_evolve(state, p, seg.duration, method=method, phase=seg.phase)
+        state = bloch_evolve(state, p, seg.duration, phase=seg.phase)
     return state
 
 
@@ -238,11 +225,7 @@ def extract_rabi_frequencies(
     areas pi, 2pi, 3pi, ... so Omega = area / pulse_duration at each
     extremum. Returns (nbar values, Omega values in rad/s).
     """
-    y = scan.y
-    interior = np.arange(1, y.size - 1)
-    is_peak = (y[interior] > y[interior - 1]) & (y[interior] >= y[interior + 1])
-    is_valley = (y[interior] < y[interior - 1]) & (y[interior] <= y[interior + 1])
-    extrema = interior[is_peak | is_valley]
+    extrema = np.union1d(interior_maxima(scan.y), interior_maxima(-scan.y))
     if extrema.size == 0:
         raise FitError("no Rabi extrema found in scan")
     areas = math.pi * np.arange(1, extrema.size + 1)
@@ -317,38 +300,24 @@ def _log_linear_fit(t: np.ndarray, amplitude: np.ndarray) -> tuple[float, float,
     mask = amplitude > 0.0
     if np.count_nonzero(mask) < 2:
         raise FitError("not enough positive points for a log-linear fit")
-    t = t[mask]
-    logy = np.log(amplitude[mask])
-    design = np.vstack([t, np.ones_like(t)]).T
-    coeffs, residuals, _, _ = np.linalg.lstsq(design, logy, rcond=None)
-    slope = float(coeffs[0])
-    fitted = design @ coeffs
-    rms = float(np.sqrt(np.mean((logy - fitted) ** 2)))
-    dof = max(t.size - 2, 1)
-    variance = float(np.sum((logy - fitted) ** 2)) / dof
-    t_centered = t - t.mean()
-    sxx = float(np.dot(t_centered, t_centered))
-    slope_se = math.sqrt(variance / sxx) if sxx > 0.0 else math.inf
+    slope, _, slope_se, rms = line_fit(t[mask], np.log(amplitude[mask]))
     return slope, slope_se, rms
 
 
-def extract_t2star(trace: TimeTrace, baseline: float | None = None) -> FitResult:
+def extract_t2star(trace: TimeTrace) -> FitResult:
     """Inhomogeneous dephasing time from the decay of a fringe pattern.
 
     An oscillating trace is referenced to its mean (the fringes average
     out) and fitted globally to A cos(2 pi f t + phi) exp(-t/T2*), with the
     fringe frequency seeded from the spectrum; the fitted f, amplitude and
     phase are reported in ``extras``. A monotone trace is treated as a bare
-    envelope and fitted by log-linear regression. Pass ``baseline`` to
-    override the reference level.
+    envelope and fitted by log-linear regression.
     """
     if len(trace) < 8:
         raise FitError("need at least 8 points to extract T2*")
-    if baseline is None:
-        mean = float(np.mean(trace.y))
-        sign_changes = int(np.count_nonzero(np.diff(np.sign(trace.y - mean)) != 0))
-        baseline = mean if sign_changes >= 4 else 0.0
-    detrended = trace.y - baseline
+    mean = float(np.mean(trace.y))
+    sign_changes = int(np.count_nonzero(np.diff(np.sign(trace.y - mean)) != 0))
+    detrended = trace.y - (mean if sign_changes >= 4 else 0.0)
     sign_changes = int(np.count_nonzero(np.diff(np.sign(detrended)) != 0))
     if sign_changes >= 4:
         return _fit_damped_fringe(trace.x, detrended)
@@ -513,25 +482,13 @@ def fit_power_law(detuning: np.ndarray, counts: np.ndarray) -> PowerLawFit:
         raise FitError("need at least two (detuning, count) points")
     if np.any(detuning <= 0.0) or np.any(counts <= 0.0):
         raise ValidationError("power-law data must be strictly positive")
-    logx = np.log(detuning)
-    logy = np.log(counts)
-    design = np.vstack([logx, np.ones_like(logx)]).T
-    coeffs, _, _, _ = np.linalg.lstsq(design, logy, rcond=None)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    fitted = design @ coeffs
-    residuals = logy - fitted
-    rms = float(np.sqrt(np.mean(residuals**2)))
-    dof = max(logx.size - 2, 1)
-    variance = float(np.sum(residuals**2)) / dof
-    x_centered = logx - logx.mean()
-    sxx = float(np.dot(x_centered, x_centered))
-    slope_se = math.sqrt(variance / sxx) if sxx > 0.0 else math.inf
+    slope, intercept, slope_se, rms = line_fit(np.log(detuning), np.log(counts))
     return PowerLawFit(
         exponent=-slope,
         amplitude=math.exp(intercept),
         exponent_stderr=slope_se,
         residual_rms=rms,
-        n_points=int(logx.size),
+        n_points=int(detuning.size),
     )
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import FitError, ValidationError
+from .spectral import line_fit
 from .trace import TimeTrace
 
 CHUNK = 65536
@@ -246,19 +247,18 @@ def bunching_curve(
 def bunching_lag_constant(trace: TimeTrace) -> float:
     """Decay lag of the bunching shoulder: exponential fit to g2 - 1, in seconds.
 
-    Only lags where the excess still exceeds 5% of its peak enter the fit;
-    beyond that the excess is statistical noise around zero.
+    Only the leading run of lags whose excess stays above 5% of its peak
+    enters the fit; beyond it the excess is statistical noise around zero,
+    and later noise lags that cross the threshold would flatten the fit.
     """
     excess = trace.y[1:] - 1.0
-    lag = trace.x[1:]
-    usable = excess > 0.05 * np.max(excess)
+    usable = np.logical_and.accumulate(excess > 0.05 * np.max(excess))
     if np.count_nonzero(usable) < 4:
         raise FitError("no bunching shoulder to fit")
-    design = np.vstack([lag[usable], np.ones(int(np.count_nonzero(usable)))]).T
-    coeffs, _, _, _ = np.linalg.lstsq(design, np.log(excess[usable]), rcond=None)
-    if coeffs[0] >= 0.0:
+    slope = line_fit(trace.x[1:][usable], np.log(excess[usable]))[0]
+    if slope >= 0.0:
         raise FitError("bunching excess does not decay")
-    return -1.0 / float(coeffs[0])
+    return -1.0 / slope
 
 
 def _chunked_indices(total: int) -> list[tuple[int, int, int]]:

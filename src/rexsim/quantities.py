@@ -8,12 +8,26 @@ aliases below mark which convention a value is in.
 import math
 
 from .constants import H_PLANCK, K_B, MU_B
-from .errors import ValidationError
+from .errors import InconsistencyError, ValidationError
 
 AngularRate = float       # rad/s
 OrdinaryFrequency = float  # Hz
 
 TWO_PI = 2.0 * math.pi
+
+# Measured lifetimes carry error bars: a lifetime ratio (T1/T_rad, T2/2T1)
+# may exceed its physical bound by up to this factor, as noise, before the
+# inputs are rejected as inconsistent.
+LIFETIME_TOLERANCE = 1.05
+
+
+def check_radiative_limit(t1: float, t2: float) -> None:
+    """Reject T2 beyond the radiative limit 2*T1 by more than LIFETIME_TOLERANCE."""
+    if t2 > LIFETIME_TOLERANCE * 2.0 * t1:
+        raise InconsistencyError(
+            f"T2 = {t2:.3g} s exceeds the radiative limit 2*T1 = {2 * t1:.3g} s "
+            f"by more than {LIFETIME_TOLERANCE - 1:.0%}"
+        )
 
 
 def angular_from_ordinary(frequency_hz: OrdinaryFrequency) -> AngularRate:

@@ -13,11 +13,7 @@ from enum import Enum
 
 from .constants import C_LIGHT, EPS0, E_CHARGE, HBAR, M_E, MU_B, H_PLANCK
 from .errors import InconsistencyError, ValidationError
-from .quantities import AngularRate, OrdinaryFrequency
-
-# Measured lifetimes carry error bars; a branching ratio slightly above 1 is
-# treated as noise up to this factor and clamped.
-LIFETIME_TOLERANCE = 1.05
+from .quantities import LIFETIME_TOLERANCE, AngularRate, OrdinaryFrequency
 
 
 class LocalFieldModel(str, Enum):

@@ -92,8 +92,6 @@ def dipolar_field(moment: ElectronicMoment, site: SpinBathSite) -> float:
     (mu0/4pi) * (mu/r^3) * (3 cos^2 theta - 1): factor 2 on axis, -1 in the
     equatorial plane, zero at the magic angle.
     """
-    if site.distance <= 0.0:
-        raise ValidationError("site distance must be positive")
     geometry = 3.0 * math.cos(site.theta) ** 2 - 1.0
     return MU_0 / (4.0 * math.pi) * moment.moment / site.distance**3 * geometry
 

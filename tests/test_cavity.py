@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,20 @@ class TestKappa:
 
     def test_q_scaling(self):
         assert ord_(kappa_from_q(ang(340.703e12), 39000.0)) == pytest.approx(8.74e9, rel=1e-3)
+
+    def test_mismatch_warning_names_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            CavityDevice(
+                q_factor=3900.0,
+                mode_volume=0.056e-18,
+                resonance=ang(340.703e12),
+                input_fraction=0.45,
+                kappa=ang(90e9),
+            )
+        assert len(caught) == 1
+        # the user's CavityDevice( call, not the generated dataclass __init__
+        assert caught[0].filename == __file__
 
 
 class TestPurcellAndCoupling:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from rexsim.config import default_document
 from rexsim.errors import FitError, ValidationError
 from rexsim.photonstats import (
     BackgroundModel,
@@ -150,6 +153,22 @@ class TestBunching:
             lags[rate] = bunching_lag_constant(trace)
         ratio = lags[10e3] / lags[20e3]
         assert ratio == pytest.approx(2.0, rel=0.20)
+
+    def test_lag_follows_shelving_chain_at_default_config(self):
+        """The fitted lag is the chain's -T/ln(1 - p(1 - q) - q).
+
+        p = p_excite p_shelve shelves an active ion and q = 1 - exp(-R T)
+        recovers a shelved one between pulses. The fit must stop where the
+        shoulder ends: later noise lags that cross the threshold flatten it
+        (they once gave 5.7 times the chain's lag here)."""
+        doc = default_document()
+        scheme, period = doc.emitter_scheme(), doc.pulse_period()
+        record = simulate_emitter_stream(scheme, doc.background(), 2_000_000, period, seed=12345)
+        trace = g2_estimator(record, max_lag=100, min_norm_coincidences=0.0)
+        q = -math.expm1(-scheme.shelf_recovery * period)
+        lam = 1.0 - scheme.p_excite * scheme.p_shelve * (1.0 - q) - q
+        expected = -period / math.log(lam)
+        assert expected / 1.5 <= bunching_lag_constant(trace) <= 1.5 * expected
 
     def test_requires_shelving(self):
         scheme = EmitterLevelScheme(p_excite=0.6, p_detect=0.5, p_shelve=0.0)

@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rexsim.constants import CODATA2018
-from rexsim.errors import ValidationError
+from rexsim.errors import InconsistencyError, ValidationError
 from rexsim.quantities import (
+    LIFETIME_TOLERANCE,
     angular_from_ordinary,
     boltzmann_population_ratio,
+    check_radiative_limit,
     ordinary_from_angular,
     sech_squared_thermal,
     temperature_from_population_ratio,
@@ -133,3 +135,28 @@ class TestSechSquared:
         assert sech_squared_thermal(2.36, 0.39, 0.5) == pytest.approx(
             1.0 / math.cosh(arg) ** 2, rel=1e-14
         )
+
+
+class TestRadiativeLimit:
+    T1 = 1.2e-6
+
+    def test_tolerance_band(self):
+        check_radiative_limit(self.T1, LIFETIME_TOLERANCE * 2.0 * self.T1)
+        with pytest.raises(InconsistencyError, match="radiative limit"):
+            check_radiative_limit(self.T1, 1.001 * LIFETIME_TOLERANCE * 2.0 * self.T1)
+
+    def test_every_caller_shares_the_band(self):
+        from rexsim.cavity import CoherenceSummary, indistinguishability
+        from rexsim.dynamics import TwoLevelParams
+
+        inside, beyond = 2.08 * self.T1, 2.12 * self.T1
+        assert TwoLevelParams(t1=self.T1, t2=inside).t2 == 2.0 * self.T1
+        assert indistinguishability(inside, self.T1) == 1.0
+        CoherenceSummary(t1=self.T1, t2=inside)
+        for build in (
+            lambda: TwoLevelParams(t1=self.T1, t2=beyond),
+            lambda: CoherenceSummary(t1=self.T1, t2=beyond),
+            lambda: indistinguishability(beyond, self.T1),
+        ):
+            with pytest.raises(InconsistencyError):
+                build()
