@@ -120,7 +120,7 @@ def _delta_g_delta_e(doc: ConfigDocument, b_field: float) -> tuple[float, float]
 
 
 def _maybe_write(args, trace: TimeTrace, subcommand: str, seed: int | None = None):
-    if getattr(args, "out", None):
+    if args.out:
         write_trace_csv(args.out, trace, subcommand, seed)
         print(f"wrote {args.out}", file=sys.stderr)
 
@@ -462,10 +462,9 @@ def cmd_flipflop(args, doc: ConfigDocument) -> RunReport:
 
 def cmd_golden(args, doc: ConfigDocument) -> RunReport:
     """Every reproduced quantity with its reference value and tolerance."""
-    quiet = argparse.Namespace(**{**vars(args), "out": None})
     report = RunReport("golden regression sweep")
     for sub in (cmd_spectro, cmd_cavity, cmd_spinbath, cmd_flipflop):
-        part = sub(quiet, doc)
+        part = sub(args, doc)
         for row in part.rows:
             if row.reference is not None:
                 report.rows.append(row)
@@ -481,6 +480,13 @@ def cmd_golden(args, doc: ConfigDocument) -> RunReport:
 # parser
 
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rexsim",
@@ -489,8 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rexsim {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI configuration file (defaults: measured device)")
-    common.add_argument("--out", help="CSV output path")
-    common.add_argument("--seed", type=int, help="override the master random seed")
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--out", help="CSV output path")
+    monte_carlo = argparse.ArgumentParser(add_help=False, parents=[writes])
+    monte_carlo.add_argument("--seed", type=int, help="override the master random seed")
+    monte_carlo.add_argument("--workers", type=_worker_count, default=1)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sub.add_parser("spectro", parents=[common], help="transition parameter derivation chain")
@@ -498,15 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cavity", parents=[common], help="cavity QED figures of merit")
     p.add_argument("--q-scale", type=float, default=10.0, help="Q scaling factor for projections")
 
-    sub.add_parser("budget", parents=[common], help="photon detection budget (CSV on stdout)")
+    sub.add_parser("budget", parents=[writes], help="photon detection budget (CSV on stdout)")
 
-    p = sub.add_parser("rabi", parents=[common], help="Rabi nutation versus photon number")
+    p = sub.add_parser("rabi", parents=[writes], help="Rabi nutation versus photon number")
     p.add_argument("--nbar-max", type=float, default=0.2)
     p.add_argument("--points", type=int, default=400)
     p.add_argument("--pulse-ns", type=float, default=None)
     p.add_argument("--fit-input", help="fit an existing rabi CSV instead of simulating")
 
-    p = sub.add_parser("ramsey", parents=[common], help="Ramsey fringes and T2* extraction")
+    p = sub.add_parser("ramsey", parents=[writes], help="Ramsey fringes and T2* extraction")
     p.add_argument("--delay-max-us", type=float, default=12.0)
     p.add_argument("--points", type=int, default=960)
     p.add_argument("--beat-khz", type=float, default=None,
@@ -514,34 +523,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detuning-khz", type=float, default=0.0)
     p.add_argument("--fit-input", help="fit an existing ramsey CSV instead of simulating")
 
-    p = sub.add_parser("echo", parents=[common], help="two-pulse echo decay and T2 fit")
+    p = sub.add_parser("echo", parents=[writes], help="two-pulse echo decay and T2 fit")
     p.add_argument("--t12-max-us", type=float, default=30.0)
     p.add_argument("--points", type=int, default=600)
     p.add_argument("--t-min-us", type=float, default=4.0, help="start of the linear fit window")
     p.add_argument("--no-modulation", action="store_true")
     p.add_argument("--fit-input", help="fit an existing echo CSV instead of simulating")
 
-    p = sub.add_parser("g2", parents=[common], help="pulsed photon correlation Monte Carlo")
+    p = sub.add_parser("g2", parents=[monte_carlo], help="pulsed photon correlation Monte Carlo")
     p.add_argument("--pulses", type=int, default=5_000_000)
     p.add_argument("--max-lag", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-shelving", action="store_true")
 
-    p = sub.add_parser("sfs", parents=[common], help="statistical fine structure of the line tail")
+    p = sub.add_parser(
+        "sfs", parents=[monte_carlo], help="statistical fine structure of the line tail"
+    )
     p.add_argument("--delta-min-ghz", type=float, default=5.0)
     p.add_argument("--delta-max-ghz", type=float, default=35.0)
     p.add_argument("--bin-mhz", type=float, default=100.0)
-    p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("histogram", parents=[common], help="ion-cavity coupling histogram")
+    p = sub.add_parser("histogram", parents=[monte_carlo], help="ion-cavity coupling histogram")
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--bins", type=int, default=25)
-    p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("spinbath", parents=[common], help="superhyperfine splitting table")
+    p = sub.add_parser("spinbath", parents=[writes], help="superhyperfine splitting table")
     p.add_argument("--points", type=int, default=100)
 
-    p = sub.add_parser("flipflop", parents=[common], help="flip-flop dephasing model")
+    p = sub.add_parser("flipflop", parents=[writes], help="flip-flop dephasing model")
     p.add_argument("--t-min-k", type=float, default=0.1)
     p.add_argument("--t-max-k", type=float, default=4.0)
     p.add_argument("--points", type=int, default=80)

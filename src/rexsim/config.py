@@ -145,9 +145,6 @@ class ConfigDocument:
             raise ConfigError(f"key {section}.{name} is not numeric")
         return float(value) * key.si_factor
 
-    def __eq__(self, other):
-        return isinstance(other, ConfigDocument) and self.values == other.values
-
     # ---- typed accessors -------------------------------------------------
 
     def material(self) -> MaterialSpec:
@@ -274,6 +271,7 @@ def parse_config_text(text: str) -> ConfigDocument:
     """Parse and validate configuration text; defaults fill missing keys."""
     doc = default_document()
     section = None
+    first_line = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -293,6 +291,11 @@ def parse_config_text(text: str) -> ConfigDocument:
         key = _LOOKUP.get((section, name))
         if key is None:
             raise ConfigError(f"unknown key '{name}' in section '[{section}]'", lineno)
+        if (section, name) in first_line:
+            raise ConfigError(
+                f"key '{section}.{name}' already set on line {first_line[section, name]}", lineno
+            )
+        first_line[section, name] = lineno
         if key.is_number:
             try:
                 value = float(value_text)
@@ -300,7 +303,13 @@ def parse_config_text(text: str) -> ConfigDocument:
                 raise ConfigError(
                     f"key '{section}.{name}' expects a number, got '{value_text}'", lineno
                 ) from None
-            if isinstance(key.default, int) and float(value).is_integer():
+            if not math.isfinite(value):
+                raise ConfigError(f"key '{section}.{name}' must be finite, got '{value_text}'", lineno)
+            if isinstance(key.default, int):
+                if not value.is_integer():
+                    raise ConfigError(
+                        f"key '{section}.{name}' expects an integer, got '{value_text}'", lineno
+                    )
                 value = int(value)
         else:
             value = value_text

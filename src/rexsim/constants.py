@@ -5,48 +5,12 @@ golden numbers produced by the rest of the package are reproducible
 bit-for-bit across installations.
 """
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the fundamental constants used throughout the package."""
-
-    vacuum_permittivity: float  # F/m
-    electron_mass: float        # kg
-    elementary_charge: float    # C
-    speed_of_light: float       # m/s
-    hbar: float                 # J s
-    planck: float               # J s
-    boltzmann: float            # J/K
-    bohr_magneton: float        # J/T
-    vacuum_permeability: float  # T m/A
-
-    @property
-    def bohr_magneton_hz_per_t(self) -> float:
-        """Bohr magneton expressed as a frequency, mu_B/h in Hz/T (13.996 GHz/T)."""
-        return self.bohr_magneton / self.planck
-
-
-CODATA2018 = PhysicalConstants(
-    vacuum_permittivity=8.8541878128e-12,
-    electron_mass=9.1093837015e-31,
-    elementary_charge=1.602176634e-19,
-    speed_of_light=299792458.0,
-    hbar=1.054571817e-34,
-    planck=6.62607015e-34,
-    boltzmann=1.380649e-23,
-    bohr_magneton=9.2740100783e-24,
-    vacuum_permeability=1.25663706212e-6,
-)
-
-# Short aliases for formula-heavy code.
-EPS0 = CODATA2018.vacuum_permittivity
-M_E = CODATA2018.electron_mass
-E_CHARGE = CODATA2018.elementary_charge
-C_LIGHT = CODATA2018.speed_of_light
-HBAR = CODATA2018.hbar
-H_PLANCK = CODATA2018.planck
-K_B = CODATA2018.boltzmann
-MU_B = CODATA2018.bohr_magneton
-MU_0 = CODATA2018.vacuum_permeability
+EPS0 = 8.8541878128e-12      # vacuum permittivity, F/m
+M_E = 9.1093837015e-31       # electron mass, kg
+E_CHARGE = 1.602176634e-19   # elementary charge, C
+C_LIGHT = 299792458.0        # speed of light, m/s
+HBAR = 1.054571817e-34       # reduced Planck constant, J s
+H_PLANCK = 6.62607015e-34    # Planck constant, J s
+K_B = 1.380649e-23           # Boltzmann constant, J/K
+MU_B = 9.2740100783e-24      # Bohr magneton, J/T
+MU_0 = 1.25663706212e-6      # vacuum permeability, T m/A

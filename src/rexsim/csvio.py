@@ -23,19 +23,13 @@ def _format(value) -> str:
     return str(value)
 
 
-def render_trace_csv(
-    trace: TimeTrace,
-    subcommand: str,
-    seed: int | None = None,
-    timestamp: bool = True,
-) -> str:
+def render_trace_csv(trace: TimeTrace, subcommand: str, seed: int | None = None) -> str:
     """Render a trace (and its extra columns) to CSV text."""
     out = io.StringIO()
     out.write(f"# rexsim {__version__}\n")
     out.write(f"# subcommand: {subcommand}\n")
-    if timestamp:
-        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        out.write(f"# timestamp: {now}\n")
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    out.write(f"# timestamp: {now}\n")
     if seed is not None:
         out.write(f"# seed: {seed}\n")
     for name in sorted(trace.metadata):
@@ -61,8 +55,12 @@ def read_trace_csv(path: str) -> TimeTrace:
     metadata = {}
     header = None
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        raise ValidationError(f"trace file not found: {path}") from None
+    with handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -77,7 +75,10 @@ def read_trace_csv(path: str) -> TimeTrace:
             if header is None:
                 header = line.split(",")
                 continue
-            rows.append([float(cell) for cell in line.split(",")])
+            try:
+                rows.append([float(cell) for cell in line.split(",")])
+            except ValueError:
+                raise ValidationError(f"{path}: line {lineno}: non-numeric cell in '{line}'") from None
     if header is None or not rows:
         raise ValidationError(f"no data rows found in {path}")
     data = np.asarray(rows, dtype=float)

@@ -75,10 +75,6 @@ class PulseSequence:
         if len(self.segments) == 0:
             raise ValidationError("pulse sequence must contain at least one segment")
 
-    @property
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
-
 
 @dataclass(frozen=True)
 class BlochState:
@@ -237,50 +233,29 @@ def simulate_ramsey(
     t2_star: float,
     beat: OrdinaryFrequency = 0.0,
     detuning: OrdinaryFrequency = 0.0,
-    t1_background: float | None = None,
-    envelope_shape: str = "exponential",
 ) -> TimeTrace:
     """Normalized Ramsey fringes for two pi/2 pulses separated by ``delays``.
 
     The probed doublet is split by ``beat`` (Hz), giving the two-frequency
-    interference S(t) = (1 + cos(2 pi detuning t) cos(pi beat t) env(t)) / 2
-    whose envelope has nodes spaced by 1/beat. env is exp(-t/T2*) by
-    default; ``envelope_shape="gaussian"`` selects exp(-(t/T2*)^2) instead
-    (the extraction routines assume the exponential form). When
-    ``t1_background`` is given the raw (non-normalized) signal including the
-    population-decay background exp(-t/T1) is returned instead.
+    interference S(t) = (1 + cos(2 pi detuning t) cos(pi beat t) exp(-t/T2*)) / 2
+    whose envelope has nodes spaced by 1/beat.
     """
     if t2_star <= 0.0:
         raise ValidationError("T2* must be positive")
     delays = np.asarray(delays, dtype=float)
-    if envelope_shape == "exponential":
-        envelope = np.exp(-delays / t2_star)
-    elif envelope_shape == "gaussian":
-        envelope = np.exp(-((delays / t2_star) ** 2))
-    else:
-        raise ValidationError(f"unknown envelope shape '{envelope_shape}'")
     fringe = (
         np.cos(2.0 * math.pi * detuning * delays)
         * np.cos(math.pi * beat * delays)
-        * envelope
+        * np.exp(-delays / t2_star)
     )
-    signal = 0.5 * (1.0 + fringe)
-    if t1_background is not None:
-        signal = signal * np.exp(-delays / t1_background)
     return TimeTrace(
         x=delays,
-        y=signal,
+        y=0.5 * (1.0 + fringe),
         x_name="delay",
         x_unit="s",
         y_name="ramsey_signal",
         y_unit="dimensionless",
-        metadata={
-            "t2_star_s": t2_star,
-            "beat_hz": beat,
-            "detuning_hz": detuning,
-            "t1_background_s": t1_background,
-            "envelope_shape": envelope_shape,
-        },
+        metadata={"t2_star_s": t2_star, "beat_hz": beat, "detuning_hz": detuning},
     )
 
 
@@ -387,31 +362,23 @@ def ramsey_beat_frequency(trace: TimeTrace) -> float:
 
 
 def simulate_echo_decay(
-    t12: np.ndarray,
-    t2: float,
-    envelope=None,
-    intensity0: float = 1.0,
+    t12: np.ndarray, t2: float, envelope: TimeTrace | None = None
 ) -> TimeTrace:
     """Two-pulse photon-echo intensity versus inter-pulse delay t12.
 
-    I(t12) = I0 exp(-4 t12 / T2) V(t12)^2 with V the superhyperfine echo
-    envelope: a callable tau -> V, a TimeTrace on the same t12 grid, or
-    None for V = 1. The factor 4 reflects the intensity convention: the
-    echo amplitude decays as exp(-2 t12/T2) over the total
-    dephasing-rephasing time 2*t12.
+    I(t12) = exp(-4 t12 / T2) V(t12)^2 with V the superhyperfine echo
+    envelope: a TimeTrace on the same t12 grid, or None for V = 1. The
+    factor 4 reflects the intensity convention: the echo amplitude decays
+    as exp(-2 t12/T2) over the total dephasing-rephasing time 2*t12.
     """
     if t2 <= 0.0:
         raise ValidationError("T2 must be positive")
     t12 = np.asarray(t12, dtype=float)
-    if envelope is None:
-        modulation = np.ones_like(t12)
-    elif callable(envelope):
-        modulation = np.asarray(envelope(t12), dtype=float) ** 2
-    else:
+    intensity = np.exp(-4.0 * t12 / t2)
+    if envelope is not None:
         if envelope.x.shape != t12.shape or not np.allclose(envelope.x, t12):
             raise ValidationError("envelope must be sampled on the same t12 grid")
-        modulation = envelope.y**2
-    intensity = intensity0 * np.exp(-4.0 * t12 / t2) * modulation
+        intensity = intensity * envelope.y**2
     return TimeTrace(
         x=t12,
         y=intensity,

@@ -164,16 +164,13 @@ def g2_zero_analytic(signal_fraction: float) -> float:
 
 
 def g2_estimator(
-    record: CountRecord,
-    max_lag: int,
-    norm_window: tuple[int, int] | None = None,
-    min_norm_coincidences: float = 1e4,
+    record: CountRecord, max_lag: int, min_norm_coincidences: float = 1e4
 ) -> TimeTrace:
     """Pulsed intensity autocorrelation g2 versus lag.
 
     g2(m) = <n_i n_{i+m}> / norm for m > 0 and <n_i (n_i - 1)> / norm at
-    m = 0, with norm the mean pair rate over a far-lag window (by default
-    the last quarter of the computed lags) where correlations have died out.
+    m = 0, with norm the mean pair rate over the last quarter of the
+    computed lags, where correlations have died out.
     The 'sigma' column is the 1-sigma statistical error from Poisson
     counting of coincidences.
     """
@@ -195,12 +192,8 @@ def g2_estimator(
         coincidences[m] = float(np.dot(c[:-m], c[m:]))
         pairs[m] = n - m
     rates = coincidences / pairs
-    if norm_window is None:
-        norm_window = (int(math.ceil(0.75 * max_lag)), max_lag)
-    lo, hi = norm_window
-    if not 0 < lo < hi <= max_lag:
-        raise ValidationError(f"invalid normalization window {norm_window}")
-    window = slice(lo, hi + 1)
+    lo = int(math.ceil(0.75 * max_lag))
+    window = slice(lo, max_lag + 1)
     window_coincidences = float(np.sum(coincidences[window]))
     if window_coincidences < min_norm_coincidences:
         raise FitError(
@@ -221,27 +214,11 @@ def g2_estimator(
             "n_pulses": n,
             "period_s": record.period,
             "seed": record.seed,
-            "norm_window": (lo, hi),
+            "norm_window": (lo, max_lag),
             "norm_rate": norm,
         },
         extra={"sigma": sigma, "lag_pulses": lags.astype(float)},
     )
-
-
-def bunching_curve(
-    scheme: EmitterLevelScheme,
-    background: BackgroundModel,
-    n_pulses: int,
-    period: float,
-    seed: int,
-    max_lag: int,
-    norm_window: tuple[int, int] | None = None,
-) -> TimeTrace:
-    """g2 of a shelving emitter; shows g2 > 1 at lags below the shelf time."""
-    if scheme.p_shelve <= 0.0:
-        raise ValidationError("bunching requires a positive shelving probability")
-    record = simulate_emitter_stream(scheme, background, n_pulses, period, seed)
-    return g2_estimator(record, max_lag, norm_window)
 
 
 def bunching_lag_constant(trace: TimeTrace) -> float:
@@ -284,7 +261,6 @@ def sfs_generate(
     bin_width: float,
     seed: int,
     workers: int = 1,
-    detuning_unit: str = "GHz",
 ) -> TimeTrace:
     """Statistical fine structure of the inhomogeneous line tail.
 
@@ -313,7 +289,7 @@ def sfs_generate(
         x=centers,
         y=observed,
         x_name="detuning",
-        x_unit=detuning_unit,
+        x_unit="GHz",
         y_name="ion_count",
         y_unit="ions/bandwidth",
         metadata={
@@ -326,13 +302,7 @@ def sfs_generate(
     )
 
 
-def coupling_histogram(
-    samples: int,
-    seed: int,
-    bins: int = 25,
-    workers: int = 1,
-    at_antinode: bool = False,
-) -> TimeTrace:
+def coupling_histogram(samples: int, seed: int, bins: int = 25, workers: int = 1) -> TimeTrace:
     """Distribution of relative emission rate over random ion positions.
 
     Ions are placed uniformly in a surrogate standing-wave mode: relative
@@ -350,15 +320,12 @@ def coupling_histogram(
     def draw(chunk):
         cid, start, stop = chunk
         m = stop - start
-        if at_antinode:
-            pl = np.ones(m)
-        else:
-            rng = _stream(seed, cid)
-            x = rng.random(m)  # axial position in units of lambda_eff, one period
-            y = rng.uniform(-1.0, 1.0, m)  # transverse, units of the waist
-            z = rng.uniform(-1.0, 1.0, m)
-            g_rel = np.abs(np.cos(2.0 * math.pi * x)) * np.exp(-(y**2 + z**2))
-            pl = g_rel**2
+        rng = _stream(seed, cid)
+        x = rng.random(m)  # axial position in units of lambda_eff, one period
+        y = rng.uniform(-1.0, 1.0, m)  # transverse, units of the waist
+        z = rng.uniform(-1.0, 1.0, m)
+        g_rel = np.abs(np.cos(2.0 * math.pi * x)) * np.exp(-(y**2 + z**2))
+        pl = g_rel**2
         hist, _ = np.histogram(pl, bins=edges)
         return hist
 
@@ -372,6 +339,6 @@ def coupling_histogram(
         x_unit="dimensionless",
         y_name="fraction_of_ions",
         y_unit="dimensionless",
-        metadata={"samples": samples, "seed": seed, "bins": bins, "at_antinode": at_antinode},
+        metadata={"samples": samples, "seed": seed, "bins": bins},
         extra={"count": hist.astype(float)},
     )

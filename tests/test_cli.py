@@ -40,6 +40,25 @@ class TestExitCodes:
         assert main(["spectro", "--config", "/no/such/file.ini"]) == 3
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[material]\nrefractive_index = nan\n",
+        "[cavity]\nq_factor = inf\n",
+        "[spinbath]\ny_multiplicity = 4.5\n",
+        "[cavity]\nq_factor = 3900\nq_factor = 7800\n",
+    ], ids=["nan", "inf", "non-integer", "duplicate"])
+    def test_bad_config_value_exits_3(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["cavity", "--config", str(bad)]) == 3
+        assert "error: line " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["histogram", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+
     def test_numeric_failure_exits_4(self, capsys):
         # far too short a record for the requested normalization window
         assert main(["g2", "--pulses", "30000", "--max-lag", "20"]) == 4
@@ -106,7 +125,7 @@ class TestCsvContract:
 
     def test_shortest_round_trip_floats(self):
         trace = TimeTrace(x=np.array([0.1, 0.2]), y=np.array([1 / 3, 2 / 3]))
-        text = render_trace_csv(trace, "test", timestamp=False)
+        text = render_trace_csv(trace, "test")
         data_line = text.splitlines()[-1]
         assert data_line.split(",")[1] == repr(2 / 3)
 
@@ -159,6 +178,20 @@ class TestFitInput:
         capsys.readouterr()
         assert main(["ramsey", "--fit-input", str(out)]) == 0
         assert "t2_star_fitted" in capsys.readouterr().out
+
+    def test_missing_fit_input_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        assert main(["echo", "--fit-input", str(missing)]) == 3
+        err = capsys.readouterr().err
+        assert "not found" in err and str(missing) in err
+
+    def test_non_numeric_cell_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "echo.csv"
+        bad.write_text("# rexsim 0.1.0\nt12_s,echo_intensity_dimensionless\n"
+                       "1e-06,0.5\n2e-06,oops\n", encoding="utf-8")
+        assert main(["echo", "--fit-input", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "line 4" in err
 
     def test_rabi_fit_from_csv(self, tmp_path, capsys):
         out = tmp_path / "rabi.csv"

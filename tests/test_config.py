@@ -52,6 +52,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 2.*expects a number"):
             parse_config_text("[cavity]\nq_factor = huge\n")
 
+    @pytest.mark.parametrize("line", ["refractive_index = nan", "q_factor = inf"])
+    def test_non_finite_value(self, line):
+        section = "material" if "refractive" in line else "cavity"
+        with pytest.raises(ConfigError, match="line 2.*must be finite"):
+            parse_config_text(f"[{section}]\n{line}\n")
+
+    def test_non_integer_for_integer_key(self):
+        with pytest.raises(ConfigError, match="line 2.*y_multiplicity.*expects an integer"):
+            parse_config_text("[spinbath]\ny_multiplicity = 4.5\n")
+
+    def test_duplicate_key(self):
+        text = "[cavity]\nq_factor = 3900\n[field]\n[cavity]\nq_factor = 7800\n"
+        with pytest.raises(ConfigError, match="line 5.*q_factor.*already set on line 2"):
+            parse_config_text(text)
+
     def test_key_before_section(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("q_factor = 1\n")

@@ -214,23 +214,6 @@ class TestRamsey:
         bin_width = 1.0 / (delays[-1] - delays[0])
         assert abs(ramsey_beat_frequency(trace) - 741.5e3) <= bin_width
 
-    def test_t1_background_option(self):
-        delays = np.linspace(1e-9, 12e-6, 300)
-        raw = simulate_ramsey(delays, t2_star=4e-6, beat=740e3, t1_background=2.1e-6)
-        normalized = simulate_ramsey(delays, t2_star=4e-6, beat=740e3)
-        assert np.allclose(raw.y, normalized.y * np.exp(-delays / 2.1e-6), rtol=1e-12)
-
-    def test_gaussian_envelope_selectable(self):
-        delays = np.linspace(1e-9, 12e-6, 300)
-        gaussian = simulate_ramsey(
-            delays, t2_star=4e-6, beat=0.0, envelope_shape="gaussian"
-        )
-        assert np.allclose(
-            2 * gaussian.y - 1, np.exp(-((delays / 4e-6) ** 2)), rtol=1e-12
-        )
-        with pytest.raises(ValidationError):
-            simulate_ramsey(delays, t2_star=4e-6, envelope_shape="triangular")
-
 
 class TestExtractT2Star:
     def test_noiseless_recovery(self):
@@ -311,11 +294,6 @@ class TestEchoDecay:
         tail = fit_t2_from_echo(trace, t_min=4e-6)
         assert head.residual_rms > 2 * tail.residual_rms
         assert tail.value == pytest.approx(25.4e-6, rel=0.02)
-
-    def test_callable_envelope(self):
-        t12 = np.linspace(0.2e-6, 10e-6, 100)
-        trace = simulate_echo_decay(t12, t2=20e-6, envelope=lambda tau: np.ones_like(tau) * 0.5)
-        assert np.allclose(trace.y, 0.25 * np.exp(-4 * t12 / 20e-6), rtol=1e-12)
 
     def test_modulation_spectrum_content(self):
         from rexsim.spectral import spectral_peaks, modulation_spectrum

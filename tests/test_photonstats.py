@@ -10,7 +10,6 @@ from rexsim.photonstats import (
     BackgroundModel,
     CountRecord,
     EmitterLevelScheme,
-    bunching_curve,
     bunching_lag_constant,
     coupling_histogram,
     g2_estimator,
@@ -126,7 +125,8 @@ BUNCHY = EmitterLevelScheme(
 
 class TestBunching:
     def test_shelving_produces_bunching_shoulder(self):
-        trace = bunching_curve(BUNCHY, NO_BACKGROUND, 2_000_000, PERIOD, seed=21, max_lag=80)
+        record = simulate_emitter_stream(BUNCHY, NO_BACKGROUND, 2_000_000, PERIOD, seed=21)
+        trace = g2_estimator(record, max_lag=80)
         sigma = trace.extra["sigma"]
         early = slice(1, 8)
         assert np.all(trace.y[early] > 1.0 + 3 * sigma[early])
@@ -149,7 +149,8 @@ class TestBunching:
             scheme = EmitterLevelScheme(
                 p_excite=0.9, p_detect=0.9, p_shelve=0.05, shelf_recovery=rate
             )
-            trace = bunching_curve(scheme, NO_BACKGROUND, 3_000_000, PERIOD, seed=23, max_lag=60)
+            record = simulate_emitter_stream(scheme, NO_BACKGROUND, 3_000_000, PERIOD, seed=23)
+            trace = g2_estimator(record, max_lag=60)
             lags[rate] = bunching_lag_constant(trace)
         ratio = lags[10e3] / lags[20e3]
         assert ratio == pytest.approx(2.0, rel=0.20)
@@ -169,11 +170,6 @@ class TestBunching:
         lam = 1.0 - scheme.p_excite * scheme.p_shelve * (1.0 - q) - q
         expected = -period / math.log(lam)
         assert expected / 1.5 <= bunching_lag_constant(trace) <= 1.5 * expected
-
-    def test_requires_shelving(self):
-        scheme = EmitterLevelScheme(p_excite=0.6, p_detect=0.5, p_shelve=0.0)
-        with pytest.raises(ValidationError):
-            bunching_curve(scheme, NO_BACKGROUND, 10_000, PERIOD, seed=1, max_lag=10)
 
 
 class TestSfs:
@@ -222,11 +218,6 @@ class TestSfs:
 
 
 class TestCouplingHistogram:
-    def test_antinode_delta_distribution(self):
-        trace = coupling_histogram(5000, seed=41, at_antinode=True)
-        assert trace.y[-1] == 1.0
-        assert np.all(trace.y[:-1] == 0.0)
-
     def test_uniform_placement_shape(self):
         """Smoothed histogram decreases monotonically toward high PL."""
         trace = coupling_histogram(400_000, seed=42)
