@@ -21,7 +21,7 @@ from rexsim.spinbath import (
 
 ground = ElectronicMoment("ground", 2.36)
 excited = ElectronicMoment("excited", 0.9)
-y_site = SpinBathSite("Y", 0.5, 2.1e6, 3.9e-10, multiplicity=4)
+y_site = SpinBathSite("Y", 0.5, 2.1e6, 3.9e-10)
 v_site = SpinBathSite("V", 3.5, 11.2e6, 3.14e-10)
 
 print("== Nearest-neighbour yttrium (I = 1/2, 2.1 MHz/T, 3.9 A) ==")

@@ -92,7 +92,6 @@ class CoherenceSummary:
 
     t1: float
     t2: float
-    t2_star: float | None = None
     pure_dephasing: float | None = None
 
     def __post_init__(self):
@@ -116,14 +115,11 @@ class DetectionChain:
     """Ordered photon-collection stages, each an efficiency in (0, 1]."""
 
     stages: tuple[tuple[str, float], ...]
-    dark_count_rate: float = 0.0  # Hz
 
     def __post_init__(self):
         for name, eff in self.stages:
             if not 0.0 < eff <= 1.0:
                 raise ValidationError(f"stage '{name}' efficiency {eff} outside (0, 1]")
-        if self.dark_count_rate < 0.0:
-            raise ValidationError("dark count rate must be non-negative")
 
 
 @dataclass(frozen=True)

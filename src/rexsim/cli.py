@@ -119,6 +119,10 @@ def _delta_g_delta_e(doc: ConfigDocument, b_field: float) -> tuple[float, float]
     return dg, de
 
 
+def _overall_efficiency(total: float) -> ReportRow:
+    return ReportRow("overall_efficiency", total, "", 0.036, 0.005, kind="abs")
+
+
 def _maybe_write(args, trace: TimeTrace, subcommand: str, seed: int | None = None):
     if args.out:
         write_trace_csv(args.out, trace, subcommand, seed)
@@ -197,7 +201,7 @@ def cmd_cavity(args, doc: ConfigDocument) -> RunReport:
     report.add("indistinguishability", cavity.indistinguishability(t2_star, t1_cav), "", 0.952, 0.005)
     nbar_per_watt = cavity.mean_photon_number(1.0, device.input_rate, kappa, device.resonance)
     report.add("power_for_one_photon", 1e9 / nbar_per_watt, "nW", 71.8, 0.02)
-    scale = args.q_scale
+    scale = getattr(args, "q_scale", 10.0)  # golden has no --q-scale: it checks Q x10
     proj_c = cavity.project_q_scaling(device, coherence, g0_meas, tr.branching_ratio, t1_bulk, scale)
     proj_i = cavity.project_q_scaling(device, coherence, g0_max, tr.branching_ratio, t1_bulk, scale)
     report.add(f"cooperativity_qx{scale:g}", proj_c.cooperativity, "", 29.0 if scale == 10 else None,
@@ -224,17 +228,19 @@ def cmd_budget(args, doc: ConfigDocument) -> RunReport:
     )
     _maybe_write(args, trace, "budget")
     report = RunReport("photon detection budget")
-    report.add("overall_efficiency", budget.total, "", 0.036, 0.005, kind="abs")
+    report.rows.append(_overall_efficiency(budget.total))
     return report
 
 
 def cmd_rabi(args, doc: ConfigDocument) -> RunReport:
-    pulse = args.pulse_ns * 1e-9 if args.pulse_ns else doc.si("simulation", "pulse_ns")
+    pulse = doc.si("simulation", "pulse_ns") if args.pulse_ns is None else args.pulse_ns * 1e-9
     report = RunReport("Rabi nutation")
     if args.fit_input:
         trace = read_trace_csv(args.fit_input)
-        pulse = float(trace.metadata.get("pulse_s", pulse))
-    else:
+        pulse = trace.metadata.get("pulse_s", pulse)
+    if not isinstance(pulse, (int, float)) or not 0.0 < pulse < math.inf:
+        raise ValidationError(f"pulse length must be positive and finite, got {pulse!r} s")
+    if not args.fit_input:
         g0 = angular_from_ordinary(doc.si("simulation", "g0_measured_mhz"))
         nbar = np.linspace(0.0, args.nbar_max, args.points)
         trace = dynamics.rabi_nutation_scan(
@@ -318,7 +324,7 @@ def cmd_g2(args, doc: ConfigDocument) -> RunReport:
     trace = photonstats.g2_estimator(record, args.max_lag)
     _maybe_write(args, trace, "g2", seed)
     signal = scheme.p_excite * scheme.p_detect
-    rho = signal / (signal + background.counts_per_pulse(period))
+    rho = signal / (signal + background.mean_per_pulse)
     report = RunReport("pulsed intensity autocorrelation")
     report.add("mean_counts_per_pulse", float(np.mean(record.counts)), "")
     report.add("g2_zero", float(trace.y[0]), "")
@@ -468,8 +474,7 @@ def cmd_golden(args, doc: ConfigDocument) -> RunReport:
         for row in part.rows:
             if row.reference is not None:
                 report.rows.append(row)
-    budget = cavity.detection_budget(doc.detection_chain())
-    report.add("overall_efficiency", budget.total, "", 0.036, 0.005, kind="abs")
+    report.rows.append(_overall_efficiency(cavity.detection_budget(doc.detection_chain()).total))
     doped = 1.0 / (math.pi * doc.si("simulation", "t2_us"))
     undoped = 1.0 / (math.pi * doc.si("simulation", "t2_undoped_us"))
     report.add("flip_flop_upper_bound", (doped - undoped) / 1e3, "kHz", 1.0, kind="upper")
@@ -555,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=80)
 
     p = sub.add_parser("golden", parents=[common], help="compare all quantities to references")
-    p.add_argument("--q-scale", type=float, default=10.0)
     p.add_argument("--write-config", help="write the effective configuration to a file")
 
     return parser

@@ -71,14 +71,11 @@ KEY_TABLE: tuple[ConfigKey, ...] = (
               comment="yttrium nuclear gyromagnetic ratio, MHz/T"),
     ConfigKey("spinbath", "y_distance_angstrom", 3.9, 1e-10, 0.0,
               comment="nearest-neighbour yttrium distance"),
-    ConfigKey("spinbath", "y_spin", 0.5, 1.0, 0.0),
-    ConfigKey("spinbath", "y_multiplicity", 4, 1.0, 0.0),
     ConfigKey("spinbath", "v_gyromagnetic_mhz_t", 11.2, 1e6, 0.0,
               comment="vanadium nuclear gyromagnetic ratio, MHz/T"),
     ConfigKey("spinbath", "v_distance_angstrom", 3.14, 1e-10, 0.0,
               comment="nearest-neighbour vanadium distance"),
     ConfigKey("spinbath", "v_spin", 3.5, 1.0, 0.0),
-    ConfigKey("spinbath", "v_multiplicity", 1, 1.0, 0.0),
     ConfigKey("spinbath", "site_theta_deg", 0.0, _DEG, None,
               comment="moment-to-ligand angle of the representative site"),
     ConfigKey("spinbath", "modulation_depth", 0.2, 1.0, 0.0, False,
@@ -95,7 +92,6 @@ KEY_TABLE: tuple[ConfigKey, ...] = (
     ConfigKey("detection", "stage_fiber_path", 0.80, 1.0, 0.0, comment="fiber splices and connectors"),
     ConfigKey("detection", "stage_circulator", 0.65, 1.0, 0.0, comment="circulator transmission"),
     ConfigKey("detection", "stage_detector", 0.82, 1.0, 0.0, comment="detector efficiency"),
-    ConfigKey("detection", "dark_count_hz", 2.0, 1.0, 0.0, False, comment="detector dark counts"),
 
     ConfigKey("simulation", "t1_cavity_us", 2.1, 1e-6, 0.0,
               comment="lifetime of the cavity-coupled ion"),
@@ -118,7 +114,7 @@ KEY_TABLE: tuple[ConfigKey, ...] = (
     ConfigKey("simulation", "p_shelve", 0.1, 1.0, 0.0, False,
               comment="shelving probability per emission"),
     ConfigKey("simulation", "shelf_recovery_hz", 1400.0, 1.0, 0.0,
-              comment="dark-state recovery rate; places the bunching shoulder near 600 us"),
+              comment="dark-state recovery rate; places the bunching shoulder near 355 us"),
     ConfigKey("simulation", "background_per_pulse", 0.001, 1.0, 0.0, False,
               comment="weakly coupled ion background, counts per pulse"),
     ConfigKey("simulation", "seed", 12345, 1.0, 0.0, False, comment="master random seed"),
@@ -175,13 +171,12 @@ class ConfigDocument:
         stages = tuple(
             (k.name.removeprefix("stage_"), self.si("detection", k.name)) for k in stage_keys
         )
-        return DetectionChain(stages=stages, dark_count_rate=self.si("detection", "dark_count_hz"))
+        return DetectionChain(stages=stages)
 
     def coherence(self) -> CoherenceSummary:
         return CoherenceSummary(
             t1=self.si("material", "t1_bulk_us"),
             t2=self.si("simulation", "t2_us"),
-            t2_star=self.si("simulation", "t2_star_us"),
             pure_dephasing=self.si("simulation", "gamma_star_khz"),
         )
 
@@ -194,11 +189,10 @@ class ConfigDocument:
     def yttrium_site(self) -> SpinBathSite:
         return SpinBathSite(
             species="Y",
-            spin=self.si("spinbath", "y_spin"),
+            spin=0.5,  # 89Y has I = 1/2; only its doublet splitting is computed
             gyromagnetic_ratio=self.si("spinbath", "y_gyromagnetic_mhz_t"),
             distance=self.si("spinbath", "y_distance_angstrom"),
             theta=self.si("spinbath", "site_theta_deg"),
-            multiplicity=int(self.si("spinbath", "y_multiplicity")),
         )
 
     def vanadium_site(self) -> SpinBathSite:
@@ -208,7 +202,6 @@ class ConfigDocument:
             gyromagnetic_ratio=self.si("spinbath", "v_gyromagnetic_mhz_t"),
             distance=self.si("spinbath", "v_distance_angstrom"),
             theta=self.si("spinbath", "site_theta_deg"),
-            multiplicity=int(self.si("spinbath", "v_multiplicity")),
         )
 
     def flipflop_params(self) -> FlipFlopParams:
@@ -228,7 +221,6 @@ class ConfigDocument:
             p_detect=self.si("simulation", "p_detect"),
             p_shelve=self.si("simulation", "p_shelve"),
             shelf_recovery=self.si("simulation", "shelf_recovery_hz"),
-            lifetime=self.si("simulation", "t1_cavity_us"),
         )
 
     def background(self) -> BackgroundModel:

@@ -70,13 +70,25 @@ def read_trace_csv(path: str) -> TimeTrace:
                     name, _, value = body[len("param "):].partition("=")
                     metadata[name.strip()] = _parse_meta_value(value.strip())
                 elif body.startswith("seed:"):
-                    metadata["seed"] = int(body.split(":", 1)[1])
+                    try:
+                        metadata["seed"] = int(body.split(":", 1)[1])
+                    except ValueError:
+                        raise ValidationError(
+                            f"{path}: line {lineno}: non-integer seed in '{line}'"
+                        ) from None
                 continue
+            cells = line.split(",")
             if header is None:
-                header = line.split(",")
+                if len(cells) < 2:
+                    raise ValidationError(f"{path}: line {lineno}: header needs an x and a y column")
+                header = cells
                 continue
+            if len(cells) != len(header):
+                raise ValidationError(
+                    f"{path}: line {lineno}: {len(cells)} cells, the header has {len(header)}"
+                )
             try:
-                rows.append([float(cell) for cell in line.split(",")])
+                rows.append([float(cell) for cell in cells])
             except ValueError:
                 raise ValidationError(f"{path}: line {lineno}: non-numeric cell in '{line}'") from None
     if header is None or not rows:

@@ -47,29 +47,24 @@ class EmitterLevelScheme:
     p_detect: float
     p_shelve: float = 0.0
     shelf_recovery: float = 1.0  # Hz
-    lifetime: float = 2.1e-6     # s, cavity-shortened T1
 
     def __post_init__(self):
         for name in ("p_excite", "p_detect", "p_shelve"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1]")
-        if self.shelf_recovery <= 0.0 or self.lifetime <= 0.0:
-            raise ValidationError("rates and lifetimes must be positive")
+        if self.shelf_recovery <= 0.0:
+            raise ValidationError("shelf recovery rate must be positive")
 
 
 @dataclass(frozen=True)
 class BackgroundModel:
-    """Pulse-synchronous Poissonian background plus detector dark counts."""
+    """Pulse-synchronous Poissonian background, counts per pulse."""
 
     mean_per_pulse: float = 0.0
-    dark_count_rate: float = 0.0  # Hz
 
     def __post_init__(self):
-        if self.mean_per_pulse < 0.0 or self.dark_count_rate < 0.0:
-            raise ValidationError("background rates must be non-negative")
-
-    def counts_per_pulse(self, period: float) -> float:
-        return self.mean_per_pulse + self.dark_count_rate * period
+        if self.mean_per_pulse < 0.0:
+            raise ValidationError("background counts per pulse must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -85,10 +80,6 @@ class CountRecord:
             raise ValidationError("counts must be a non-empty 1-d array")
         if np.any(self.counts < 0):
             raise ValidationError("counts must be non-negative")
-
-    @property
-    def n_pulses(self) -> int:
-        return int(self.counts.size)
 
     @property
     def mean_rate(self) -> float:
@@ -147,7 +138,7 @@ def simulate_emitter_stream(
     else:
         active = True
     signal = (excite & detect & active).astype(np.int64)
-    b = background.counts_per_pulse(period)
+    b = background.mean_per_pulse
     if b > 0.0:
         signal = signal + _stream(seed, _STREAM_BACKGROUND).poisson(b, n_pulses)
     return CountRecord(counts=signal, period=period, seed=seed)

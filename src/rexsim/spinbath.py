@@ -31,15 +31,12 @@ class SpinBathSite:
     gyromagnetic_ratio: float  # Hz/T
     distance: float            # m
     theta: float = 0.0         # rad
-    multiplicity: int = 1
 
     def __post_init__(self):
         if self.distance <= 0.0:
             raise ValidationError(f"site distance must be positive, got {self.distance}")
         if self.spin <= 0.0 or round(2.0 * self.spin) != 2.0 * self.spin:
             raise ValidationError(f"nuclear spin must be a positive half-integer, got {self.spin}")
-        if self.multiplicity < 1:
-            raise ValidationError("multiplicity must be at least 1")
 
 
 @dataclass(frozen=True)

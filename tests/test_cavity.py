@@ -267,7 +267,7 @@ class TestDetectionBudget:
 class TestQScaling:
     @pytest.fixture()
     def coherence(self):
-        return CoherenceSummary(t1=90e-6, t2=25.4e-6, t2_star=4.0e-6, pure_dephasing=9.7e3)
+        return CoherenceSummary(t1=90e-6, t2=25.4e-6, pure_dephasing=9.7e3)
 
     def test_identity_at_factor_one(self, device, coherence, transition):
         g0 = ang(28.5e6)

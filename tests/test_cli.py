@@ -43,7 +43,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [
         "[material]\nrefractive_index = nan\n",
         "[cavity]\nq_factor = inf\n",
-        "[spinbath]\ny_multiplicity = 4.5\n",
+        "[simulation]\nseed = 4.5\n",
         "[cavity]\nq_factor = 3900\nq_factor = 7800\n",
     ], ids=["nan", "inf", "non-integer", "duplicate"])
     def test_bad_config_value_exits_3(self, tmp_path, capsys, text):
@@ -192,6 +192,27 @@ class TestFitInput:
         assert main(["echo", "--fit-input", str(bad)]) == 3
         err = capsys.readouterr().err
         assert str(bad) in err and "line 4" in err
+
+    @pytest.mark.parametrize("subcommand, text, where", [
+        ("echo", "t12_s,echo_intensity_dimensionless\n1e-06,0.5\n2e-06,0.4,0.1\n", "line 3"),
+        ("echo", "t12_s\n1e-06\n2e-06\n", "line 1"),
+        ("echo", "# seed: abc\nt12_s,echo_intensity_dimensionless\n1e-06,0.5\n", "line 1"),
+        ("rabi", "# param pulse_s = abc\nnbar_photons,p_excited\n0.0,0.0\n0.1,0.5\n", "'abc'"),
+        ("rabi", "# param pulse_s = 0.0\nnbar_photons,p_excited\n0.0,0.0\n0.1,0.5\n", "0.0"),
+    ], ids=["ragged-rows", "one-column-header", "non-integer-seed", "non-numeric-pulse",
+            "zero-pulse"])
+    def test_malformed_fit_input_exits_3(self, tmp_path, capsys, subcommand, text, where):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        assert main([subcommand, "--fit-input", str(bad)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and where in err
+
+    @pytest.mark.parametrize("pulse_ns", ["0", "-250", "nan", "inf"])
+    def test_rabi_rejects_bad_pulse_length(self, capsys, pulse_ns):
+        assert main(["rabi", "--points", "50", "--pulse-ns", pulse_ns]) == 3
+        assert "pulse length must be positive and finite" in capsys.readouterr().err
 
     def test_rabi_fit_from_csv(self, tmp_path, capsys):
         out = tmp_path / "rabi.csv"

@@ -59,8 +59,8 @@ class TestParsing:
             parse_config_text(f"[{section}]\n{line}\n")
 
     def test_non_integer_for_integer_key(self):
-        with pytest.raises(ConfigError, match="line 2.*y_multiplicity.*expects an integer"):
-            parse_config_text("[spinbath]\ny_multiplicity = 4.5\n")
+        with pytest.raises(ConfigError, match="line 2.*seed.*expects an integer"):
+            parse_config_text("[simulation]\nseed = 4.5\n")
 
     def test_duplicate_key(self):
         text = "[cavity]\nq_factor = 3900\n[field]\n[cavity]\nq_factor = 7800\n"

@@ -22,7 +22,7 @@ from rexsim.spinbath import (
 
 GROUND = ElectronicMoment("ground", 2.36)
 EXCITED = ElectronicMoment("excited", 0.9)
-Y_SITE = SpinBathSite("Y", 0.5, 2.1e6, 3.9e-10, theta=0.0, multiplicity=4)
+Y_SITE = SpinBathSite("Y", 0.5, 2.1e6, 3.9e-10, theta=0.0)
 V_SITE = SpinBathSite("V", 3.5, 11.2e6, 3.14e-10)
 
 # frozen by direct evaluation of the formula with the shipped constants

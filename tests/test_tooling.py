@@ -1,4 +1,4 @@
-"""Guards on how the package is put together: import cost, the demos and the CLI surface."""
+"""Guards on how the package is put together: import cost, the demos, the CLI and INI surface."""
 
 import os
 import subprocess
@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from rexsim.cli import HANDLERS, build_parser, main
+from rexsim.config import KEY_TABLE, ConfigDocument, parse_config_text, serialize
+from rexsim.csvio import strip_timestamp
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -57,9 +59,54 @@ def test_cli_surface():
     ["spectro", "--seed", "5"],
     ["cavity", "--out", "x.csv"],
     ["golden", "--out", "y.csv"],
+    ["golden", "--q-scale", "5"],
 ])
 def test_cli_rejects_flags_it_would_ignore(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _perturbed(key, value):
+    if key.choices is not None:
+        return next(choice for choice in key.choices if choice != value)
+    if isinstance(key.default, int) or key.name.endswith("_spin"):  # spins stay half-integer
+        return value + 1
+    return value * 1.01 if value else 1.0
+
+
+def test_every_config_key_moves_an_output(tmp_path, capsys):
+    """Each INI key, perturbed alone, changes some subcommand's stdout or CSV."""
+    base = parse_config_text("[simulation]\np_detect = 0.5\nbackground_per_pulse = 0.02\n")
+    config, out = tmp_path / "sweep.ini", tmp_path / "sweep.csv"
+    g2 = ["g2", "--pulses", "400000", "--max-lag", "40"]
+    # cheapest first
+    runs = [["spectro"], ["cavity"], ["golden"]] + [
+        [*argv, "--out", str(out)]
+        for argv in (["budget"], ["spinbath"], ["flipflop"], ["sfs"], ["echo"], ["ramsey"],
+                     ["histogram"], [*g2, "--no-shelving"], g2, ["rabi"])
+    ]
+
+    def outputs(doc, argv):
+        config.write_text(serialize(doc), encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code = main([*argv, "--config", str(config)])
+        assert code != 3, capsys.readouterr().err
+        csv = strip_timestamp(out.read_text(encoding="utf-8")) if out.exists() else ""
+        return code, capsys.readouterr().out, csv
+
+    baseline = {}
+    dead = []
+    for key in KEY_TABLE:
+        values = {section: dict(entries) for section, entries in base.values.items()}
+        values[key.section][key.name] = _perturbed(key, base.raw(key.section, key.name))
+        doc = ConfigDocument(values=values)
+        for i, argv in enumerate(runs):
+            if i not in baseline:
+                baseline[i] = outputs(base, argv)
+            if outputs(doc, argv) != baseline[i]:
+                break
+        else:
+            dead.append(f"{key.section}.{key.name}")
+    assert dead == []
