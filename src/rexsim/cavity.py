@@ -7,7 +7,6 @@ detection budget and quality-factor scaling projections. Rates are angular
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ class CavityDevice:
     """Nanophotonic resonator record.
 
     kappa, when supplied, wins over the value derived from Q (measured decay
-    rates are rounded independently of Q); a warning records the discrepancy.
+    rates are rounded independently of Q).
     """
 
     q_factor: float
@@ -61,12 +60,6 @@ class CavityDevice:
                 raise InconsistencyError(
                     f"supplied kappa {self.kappa:.4g} rad/s disagrees with omega0/Q = "
                     f"{derived:.4g} rad/s by {deviation:.1%} (> {KAPPA_Q_TOLERANCE:.0%})"
-                )
-            if deviation > 1e-12:
-                warnings.warn(
-                    f"kappa supplied ({self.kappa:.4g} rad/s) differs from omega0/Q "
-                    f"({derived:.4g} rad/s) by {deviation:.1%}; using the supplied value",
-                    stacklevel=3,
                 )
 
     @property
@@ -282,7 +275,7 @@ def project_q_scaling(
     pure dephasing gamma* taken as Q-independent (it is set by the nuclear
     spin bath, not the cavity).
     """
-    if factor <= 0.0:
+    if not factor > 0.0:
         raise ValidationError(f"scaling factor must be positive, got {factor}")
     if coherence.pure_dephasing is None:
         raise ValidationError("coherence summary must carry a pure dephasing rate")

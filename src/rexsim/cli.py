@@ -5,8 +5,8 @@ One subcommand per experiment or derivation in the source material, plus
 value. Reports go to stdout, diagnostics to stderr, curves to CSV files.
 
 Exit codes: 0 success, 2 unknown subcommand or bad flags (argparse), 3
-validation/configuration failure, 4 numeric failure (including golden rows
-outside tolerance).
+validation/configuration failure or unusable path, 4 numeric failure
+(including overflow, division by zero and golden rows outside tolerance).
 """
 
 import argparse
@@ -598,7 +598,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericError as exc:
+    except OSError as exc:  # every user-named path: --config, --fit-input, --out, --write-config
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (NumericError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -310,12 +310,8 @@ def parse_config_text(text: str) -> ConfigDocument:
 
 
 def parse_config(path: str) -> ConfigDocument:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    return parse_config_text(text)
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        return parse_config_text(handle.read())
 
 
 def serialize(doc: ConfigDocument) -> str:

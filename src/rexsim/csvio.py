@@ -55,11 +55,7 @@ def read_trace_csv(path: str) -> TimeTrace:
     metadata = {}
     header = None
     rows = []
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise ValidationError(f"trace file not found: {path}") from None
-    with handle:
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:

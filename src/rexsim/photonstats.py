@@ -262,13 +262,15 @@ def sfs_generate(
     """
     if amplitude < 0.0 or exponent <= 0.0:
         raise ValidationError("amplitude must be non-negative and exponent positive")
-    if detuning_min <= 0.0 or detuning_max <= detuning_min or bin_width <= 0.0:
+    if not (detuning_min > 0.0 and detuning_max > detuning_min and bin_width > 0.0):
         raise ValidationError("need 0 < detuning_min < detuning_max and positive bin width")
     n_bins = int(math.floor((detuning_max - detuning_min) / bin_width))
     if n_bins < 1:
         raise ValidationError("detuning range shorter than one bin")
     centers = detuning_min + bin_width * (np.arange(n_bins) + 0.5)
     expected = amplitude * centers ** (-exponent)
+    if not expected.max() < 1e18:  # numpy's Poisson sampler draws int64 counts
+        raise ValidationError(f"expected ion count per bin {expected.max():.3g} is not below 1e18")
 
     def draw(chunk):
         cid, start, stop = chunk

@@ -36,15 +36,13 @@ def transition(material):
 
 @pytest.fixture(scope="session")
 def device(material):
-    with pytest.warns(UserWarning):
-        dev = CavityDevice(
-            q_factor=3900.0,
-            mode_volume=0.056e-18,
-            resonance=material.angular_frequency,
-            input_fraction=0.45,
-            kappa=angular_from_ordinary(90e9),
-        )
-    return dev
+    return CavityDevice(
+        q_factor=3900.0,
+        mode_volume=0.056e-18,
+        resonance=material.angular_frequency,
+        input_fraction=0.45,
+        kappa=angular_from_ordinary(90e9),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rexsim.cli import main
 from rexsim.csvio import read_trace_csv, render_trace_csv, strip_timestamp, write_trace_csv
@@ -38,7 +42,42 @@ class TestExitCodes:
 
     def test_missing_config_exits_3(self, capsys):
         assert main(["spectro", "--config", "/no/such/file.ini"]) == 3
-        assert "not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "/no/such/file.ini" in err and "No such file or directory" in err
+
+    # directories and missing parents rather than chmod: the suite may run as root
+    @pytest.mark.parametrize("argv", [
+        ["spectro", "--config", "{dir}"],
+        ["spectro", "--config", "{binary}"],
+        ["echo", "--fit-input", "{dir}"],
+        ["echo", "--fit-input", "{binary}"],
+        ["spinbath", "--out", "{dir}/missing/x.csv"],
+        ["spinbath", "--out", "{dir}"],
+        ["golden", "--write-config", "{dir}"],
+    ], ids=["config-directory", "config-not-utf8", "fit-input-directory", "fit-input-not-utf8",
+            "out-missing-parent", "out-directory", "write-config-directory"])
+    def test_bad_path_exits_3(self, tmp_path, capsys, argv):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe")
+        argv = [arg.format(dir=tmp_path, binary=binary) for arg in argv]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["cavity", "--q-scale", "nan"],
+        ["sfs", "--delta-min-ghz", "nan"],
+    ], ids=["q-scale", "delta-min"])
+    def test_nan_flag_exits_3(self, capsys, argv):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_huge_sfs_amplitude_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "huge.ini"
+        config.write_text("[simulation]\nsfs_amplitude = 1e300\n", encoding="utf-8")
+        assert main(["sfs", "--config", str(config)]) == 3
+        assert "below 1e18" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "[material]\nrefractive_index = nan\n",
@@ -183,7 +222,7 @@ class TestFitInput:
         missing = tmp_path / "absent.csv"
         assert main(["echo", "--fit-input", str(missing)]) == 3
         err = capsys.readouterr().err
-        assert "not found" in err and str(missing) in err
+        assert "No such file or directory" in err and str(missing) in err
 
     def test_non_numeric_cell_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "echo.csv"
@@ -220,6 +259,17 @@ class TestFitInput:
         capsys.readouterr()
         assert main(["rabi", "--fit-input", str(out)]) == 0
         assert "g0_fitted" in capsys.readouterr().out
+
+
+@given(content=st.one_of(st.text().map(str.encode), st.binary()))
+def test_arbitrary_input_file_exits_cleanly(tmp_path_factory, content):
+    """Any text or bytes as --config or --fit-input ends in exit 0, 3 or 4, never a traceback."""
+    path = tmp_path_factory.getbasetemp() / "arbitrary-input"
+    path.write_bytes(content)
+    for argv in (["golden", "--config"], ["echo", "--fit-input"], ["rabi", "--fit-input"],
+                 ["ramsey", "--fit-input"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, str(path)]) in (0, 3, 4)
 
 
 class TestBudgetOutput:

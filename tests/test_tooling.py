@@ -110,3 +110,24 @@ def test_every_config_key_moves_an_output(tmp_path, capsys):
         else:
             dead.append(f"{key.section}.{key.name}")
     assert dead == []
+
+
+def test_extreme_config_values_exit_cleanly(tmp_path, capsys):
+    """Each numeric INI key at 1e-300 and at 1e300 exits 0, 3 or 4; no exception escapes main."""
+    config = tmp_path / "extreme.ini"
+    escaped = []
+    for key in KEY_TABLE:
+        if not key.is_number:
+            continue
+        for value in ("1e-300", "1e300"):
+            config.write_text(f"[{key.section}]\n{key.name} = {value}\n", encoding="utf-8")
+            for subcommand in ("golden", "spinbath", "echo", "sfs"):
+                try:
+                    code = main([subcommand, "--config", str(config)])
+                except Exception as exc:
+                    code = repr(exc)
+                capsys.readouterr()
+                if code not in (0, 3, 4):
+                    escaped.append(f"{key.section}.{key.name} = {value} ({subcommand}: {code})")
+                    break
+    assert escaped == []
