@@ -397,6 +397,8 @@ def fit_t2_from_echo(trace: TimeTrace, t_min: float = 0.0) -> FitResult:
     superhyperfine-modulated head); T2 = -4/slope. The residual rms in the
     report flags fits contaminated by modulation.
     """
+    if math.isnan(t_min):
+        raise ValidationError("fit window start t_min is NaN")
     mask = trace.x >= t_min
     if np.count_nonzero(mask) < 5:
         raise FitError(f"need at least 5 points beyond t_min = {t_min:.3g} s")

@@ -29,6 +29,8 @@ _STREAM_BACKGROUND = 4
 
 def _stream(seed: int, stream_id: int) -> Generator:
     """Independent deterministic generator for (seed, stream_id)."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2^64), got {seed}")
     return Generator(Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
 
 
@@ -262,8 +264,8 @@ def sfs_generate(
     """
     if amplitude < 0.0 or exponent <= 0.0:
         raise ValidationError("amplitude must be non-negative and exponent positive")
-    if not (detuning_min > 0.0 and detuning_max > detuning_min and bin_width > 0.0):
-        raise ValidationError("need 0 < detuning_min < detuning_max and positive bin width")
+    if not (detuning_min > 0.0 and detuning_min < detuning_max < math.inf and bin_width > 0.0):
+        raise ValidationError("need 0 < detuning_min < detuning_max < inf and positive bin width")
     n_bins = int(math.floor((detuning_max - detuning_min) / bin_width))
     if n_bins < 1:
         raise ValidationError("detuning range shorter than one bin")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rexsim.cli import main
+from rexsim.cli import HANDLERS, REFERENCES, build_parser, cmd_golden, main
+from rexsim.config import default_document
 from rexsim.csvio import read_trace_csv, render_trace_csv, strip_timestamp, write_trace_csv
 from rexsim.trace import TimeTrace
 
@@ -73,6 +74,36 @@ class TestExitCodes:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    # 1e14 elements (728 TiB) exceed the x86-64 user address space, so the
+    # allocation fails at once whatever the overcommit setting
+    @pytest.mark.parametrize("argv, code", [
+        (["g2", "--seed", "-1"], 3),
+        (["sfs", "--seed", "-1"], 3),
+        (["histogram", "--seed", "-1"], 3),
+        (["histogram", "--seed", str(2**64)], 3),
+        (["sfs", "--config", "{seed_ini}"], 3),
+        (["sfs", "--delta-max-ghz", "inf"], 3),
+        (["echo", "--t-min-us", "nan"], 3),
+        (["rabi", "--points", "100000000000000"], 4),
+        (["ramsey", "--points", "100000000000000"], 4),
+        (["echo", "--points", "100000000000000"], 4),
+        (["spinbath", "--out", "{dir}/x.csv", "--points", "100000000000000"], 4),
+        (["flipflop", "--out", "{dir}/x.csv", "--points", "100000000000000"], 4),
+        (["g2", "--pulses", "100000000000000"], 4),
+        (["histogram", "--bins", "100000000000000"], 4),
+        (["sfs", "--bin-mhz", "1e-9"], 4),
+    ], ids=["g2-seed", "sfs-seed", "histogram-seed", "seed-2^64", "ini-seed-1e300",
+            "delta-max-inf", "t-min-nan", "rabi-points", "ramsey-points", "echo-points",
+            "spinbath-points", "flipflop-points", "g2-pulses", "histogram-bins", "sfs-bin-width"])
+    def test_out_of_range_input_exits_cleanly(self, tmp_path, capsys, argv, code):
+        seed_ini = tmp_path / "seed.ini"
+        seed_ini.write_text("[simulation]\nseed = 1e300\n", encoding="utf-8")
+        argv = [arg.format(dir=tmp_path, seed_ini=seed_ini) for arg in argv]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+
     def test_huge_sfs_amplitude_exits_3(self, tmp_path, capsys):
         config = tmp_path / "huge.ini"
         config.write_text("[simulation]\nsfs_amplitude = 1e300\n", encoding="utf-8")
@@ -116,6 +147,24 @@ class TestGolden:
         target = tmp_path / "effective.ini"
         assert main(["golden", "--write-config", str(target)]) == 0
         assert "[material]" in target.read_text(encoding="utf-8")
+
+    def test_prints_exactly_the_reference_table(self):
+        report = cmd_golden(build_parser().parse_args(["golden"]), default_document())
+        assert [row.name for row in report.rows] == list(REFERENCES)
+        assert len(report.rows) == 24
+        assert all(row.passed is True for row in report.rows)
+
+    def test_rows_outside_the_table_are_unchecked(self):
+        doc = default_document()
+
+        def rows(*argv):
+            args = build_parser().parse_args(argv)
+            return {row.name: row for row in HANDLERS[args.subcommand](args, doc).rows}
+
+        echo = rows("echo")
+        assert echo["delta_g"].reference is None and echo["delta_e"].reference is None
+        assert rows("cavity", "--q-scale", "5")["cooperativity_qx5"].reference is None
+        assert rows("cavity")["cooperativity_qx10"].passed is True
 
 
 class TestCsvContract:
