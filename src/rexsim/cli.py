@@ -1,8 +1,8 @@
 """Command-line front end.
 
 One subcommand per experiment or derivation in the source material, plus
-``golden`` which checks every quantity in ``REFERENCES`` against its paper
-value. Reports go to stdout, diagnostics to stderr, curves to CSV files.
+``golden``: the ``REFERENCES`` rows of six of them at their default flags.
+Only ``main`` writes output: reports to stdout, notes to stderr, curves to CSV.
 
 Exit codes: 0 success, 2 unknown subcommand or bad flags (argparse), 3
 validation/configuration failure or unusable path, 4 numeric failure
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__, cavity, dynamics, photonstats, spinbath
-from .config import ConfigDocument, default_document, parse_config, serialize
+from .config import ConfigDocument, changed_keys, default_document, parse_config, serialize
 from .csvio import read_trace_csv, write_trace_csv
 from .errors import NumericError, RexsimError, ValidationError
 from .quantities import angular_from_ordinary, ordinary_from_angular
@@ -98,6 +98,9 @@ class ReportRow:
 class RunReport:
     title: str
     rows: list = field(default_factory=list)
+    preamble: list = field(default_factory=list)  # stdout lines before the table
+    notes: list = field(default_factory=list)  # stderr lines after it
+    curve: TimeTrace | None = None  # what --out writes
 
     def add(self, name: str, value: float, unit: str = ""):
         self.rows.append(ReportRow(name, value, unit))
@@ -127,7 +130,7 @@ class RunReport:
                 )
             )
         widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-        lines = [self.title]
+        lines = [*self.preamble, self.title]
         for i, entry in enumerate(table):
             lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(entry)).rstrip())
             if i == 0:
@@ -148,12 +151,6 @@ def _delta_g_delta_e(doc: ConfigDocument, b_field: float) -> tuple[float, float]
     dg = spinbath.superhyperfine_splitting(site, doc.ground_moment(), b_field)
     de = spinbath.superhyperfine_splitting(site, doc.excited_moment(), b_field)
     return dg, de
-
-
-def _maybe_write(args, trace: TimeTrace, subcommand: str, seed: int | None = None):
-    if args.out:
-        write_trace_csv(args.out, trace, subcommand, seed)
-        print(f"wrote {args.out}", file=sys.stderr)
 
 
 # --------------------------------------------------------------------------
@@ -224,11 +221,12 @@ def cmd_cavity(args, doc: ConfigDocument) -> RunReport:
 
 def cmd_budget(args, doc: ConfigDocument) -> RunReport:
     budget = cavity.detection_budget(doc.detection_chain())
-    print("stage,efficiency,cumulative")
-    for name, eff, cum in budget.rows:
-        print(f"{name},{eff!r},{cum!r}")
-    print(f"total,,{budget.total!r}")
-    trace = TimeTrace(
+    report = RunReport("photon detection budget", preamble=[
+        "stage,efficiency,cumulative",
+        *(f"{name},{eff!r},{cum!r}" for name, eff, cum in budget.rows),
+        f"total,,{budget.total!r}",
+    ])
+    report.curve = TimeTrace(
         x=np.arange(1, len(budget.rows) + 1),
         y=[cum for _, _, cum in budget.rows],
         x_name="stage_index",
@@ -237,8 +235,6 @@ def cmd_budget(args, doc: ConfigDocument) -> RunReport:
         y_unit="dimensionless",
         metadata={name: eff for name, eff, _ in budget.rows},
     )
-    _maybe_write(args, trace, "budget")
-    report = RunReport("photon detection budget")
     report.check("overall_efficiency", budget.total)
     return report
 
@@ -254,14 +250,13 @@ def cmd_rabi(args, doc: ConfigDocument) -> RunReport:
     if not args.fit_input:
         g0 = angular_from_ordinary(doc.si("simulation", "g0_measured_mhz"))
         nbar = np.linspace(0.0, args.nbar_max, args.points)
-        trace = dynamics.rabi_nutation_scan(
+        trace = report.curve = dynamics.rabi_nutation_scan(
             g0,
             nbar,
             pulse,
             t1=doc.si("simulation", "t1_cavity_us"),
             t2=doc.si("simulation", "t2_star_us"),
         )
-        _maybe_write(args, trace, "rabi")
         report.add("g0_input", ordinary_from_angular(g0) / 1e6, "MHz")
     try:
         nb, omegas = dynamics.extract_rabi_frequencies(trace, pulse)
@@ -270,7 +265,7 @@ def cmd_rabi(args, doc: ConfigDocument) -> RunReport:
         report.add("g0_fit_stderr", ordinary_from_angular(g0_err) / 1e6, "MHz")
         report.add("n_extrema", float(len(nb)), "")
     except RexsimError as exc:
-        print(f"note: no Rabi extraction ({exc})", file=sys.stderr)
+        report.notes.append(f"note: no Rabi extraction ({exc})")
     report.add("pulse_length", pulse * 1e9, "ns")
     return report
 
@@ -284,13 +279,12 @@ def cmd_ramsey(args, doc: ConfigDocument) -> RunReport:
             _delta_g_delta_e(doc, doc.si("field", "b_field_mt"))[0]
         )
         delays = np.linspace(0.0, args.delay_max_us * 1e-6, args.points + 1)[1:]
-        trace = dynamics.simulate_ramsey(
+        trace = report.curve = dynamics.simulate_ramsey(
             delays,
             t2_star=doc.si("simulation", "t2_star_us"),
             beat=beat,
             detuning=args.detuning_khz * 1e3,
         )
-        _maybe_write(args, trace, "ramsey")
         report.add("beat_input", beat / 1e3, "kHz")
     report.add("beat_spectral_peak", dynamics.ramsey_beat_frequency(trace) / 1e3, "kHz")
     fit = dynamics.extract_t2star(trace)
@@ -314,8 +308,7 @@ def cmd_echo(args, doc: ConfigDocument) -> RunReport:
             envelope = spinbath.eseem_envelope(dg, de, depth, t12)
             report.add("delta_g", dg / 1e3, "kHz")
             report.add("delta_e", de / 1e3, "kHz")
-        trace = dynamics.simulate_echo_decay(t12, t2, envelope=envelope)
-        _maybe_write(args, trace, "echo")
+        trace = report.curve = dynamics.simulate_echo_decay(t12, t2, envelope=envelope)
     fit = dynamics.fit_t2_from_echo(trace, t_min)
     report.add("t2_fitted", fit.value * 1e6, "us")
     report.add("t2_stderr", fit.stderr * 1e6, "us")
@@ -333,10 +326,9 @@ def cmd_g2(args, doc: ConfigDocument) -> RunReport:
     seed = args.seed if args.seed is not None else doc.seed()
     record = photonstats.simulate_emitter_stream(scheme, background, args.pulses, period, seed)
     trace = photonstats.g2_estimator(record, args.max_lag)
-    _maybe_write(args, trace, "g2", seed)
     signal = scheme.p_excite * scheme.p_detect
     rho = signal / (signal + background.mean_per_pulse)
-    report = RunReport("pulsed intensity autocorrelation")
+    report = RunReport("pulsed intensity autocorrelation", curve=trace)
     report.add("mean_counts_per_pulse", float(np.mean(record.counts)), "")
     report.add("g2_zero", float(trace.y[0]), "")
     report.add("g2_zero_sigma", float(trace.extra["sigma"][0]), "")
@@ -350,7 +342,7 @@ def cmd_g2(args, doc: ConfigDocument) -> RunReport:
                 "us",
             )
         except RexsimError as exc:
-            print(f"note: no bunching fit ({exc})", file=sys.stderr)
+            report.notes.append(f"note: no bunching fit ({exc})")
     return report
 
 
@@ -366,12 +358,11 @@ def cmd_sfs(args, doc: ConfigDocument) -> RunReport:
         seed=seed,
         workers=args.workers,
     )
-    _maybe_write(args, trace, "sfs", seed)
     # single-realization fit restricted to well-populated bins; the tail is
     # shot-noise dominated and would bias a log-log regression
     usable = (trace.extra["expected"] >= 5.0) & (trace.y > 0)
     fit = dynamics.fit_power_law(trace.x[usable], trace.y[usable])
-    report = RunReport("statistical fine structure")
+    report = RunReport("statistical fine structure", curve=trace)
     report.add("bins", float(len(trace)), "")
     report.add("fitted_exponent", fit.exponent, "")
     report.add("fitted_exponent_stderr", fit.exponent_stderr, "")
@@ -384,8 +375,7 @@ def cmd_histogram(args, doc: ConfigDocument) -> RunReport:
     trace = photonstats.coupling_histogram(
         samples=args.samples, seed=seed, bins=args.bins, workers=args.workers
     )
-    _maybe_write(args, trace, "histogram", seed)
-    report = RunReport("coupling-strength (PL intensity) histogram")
+    report = RunReport("coupling-strength (PL intensity) histogram", curve=trace)
     report.add("samples", float(args.samples), "")
     report.add("dim_fraction", float(trace.y[0]), "")
     report.add("bright_fraction", float(trace.y[-1]), "")
@@ -414,19 +404,17 @@ def cmd_spinbath(args, doc: ConfigDocument) -> RunReport:
         doc.si("material", "t1_bulk_us"), doc.si("simulation", "t2_undoped_us")
     )
     report.check("dephasing_bound", bound / 1e3, "kHz")
-    if args.out:
-        b_grid = np.linspace(0.0, max(b_field, 0.5), args.points)
-        dg_b = [spinbath.superhyperfine_splitting(y_site, ground, b) for b in b_grid]
-        trace = TimeTrace(
-            x=b_grid * 1e3,
-            y=np.asarray(dg_b) / 1e3,
-            x_name="b_field",
-            x_unit="mT",
-            y_name="ground_splitting",
-            y_unit="kHz",
-            metadata={"theta_rad": y_site.theta, "distance_m": y_site.distance},
-        )
-        _maybe_write(args, trace, "spinbath")
+    b_grid = np.linspace(0.0, max(b_field, 0.5), args.points)
+    dg_b = [spinbath.superhyperfine_splitting(y_site, ground, b) for b in b_grid]
+    report.curve = TimeTrace(
+        x=b_grid * 1e3,
+        y=np.asarray(dg_b) / 1e3,
+        x_name="b_field",
+        x_unit="mT",
+        y_name="ground_splitting",
+        y_unit="kHz",
+        metadata={"theta_rad": y_site.theta, "distance_m": y_site.distance},
+    )
     return report
 
 
@@ -442,46 +430,41 @@ def cmd_flipflop(args, doc: ConfigDocument) -> RunReport:
     report.add("t_m", tm * 1e6, "us")
     report.check("added_dephasing", added, "Hz")
     report.add("gamma0_assumed", params.intrinsic_linewidth / 1e3, "kHz")
-    if args.out:
-        temps = np.linspace(args.t_min_k, args.t_max_k, args.points)
-        added_t = []
-        for t in temps:
-            p = replace(params, temperature=float(t))
-            added_t.append(
-                spinbath.flipflop_added_dephasing(
-                    p.intrinsic_linewidth, spinbath.flipflop_gamma_sd(p), p.flip_rate
-                )
+    doped = 1.0 / (math.pi * doc.si("simulation", "t2_us"))
+    undoped = 1.0 / (math.pi * doc.si("simulation", "t2_undoped_us"))
+    report.check("flip_flop_upper_bound", (doped - undoped) / 1e3, "kHz")
+    temps = np.linspace(args.t_min_k, args.t_max_k, args.points)
+    added_t = []
+    for t in temps:
+        p = replace(params, temperature=float(t))
+        added_t.append(
+            spinbath.flipflop_added_dephasing(
+                p.intrinsic_linewidth, spinbath.flipflop_gamma_sd(p), p.flip_rate
             )
-        trace = TimeTrace(
-            x=temps,
-            y=added_t,
-            x_name="temperature",
-            x_unit="K",
-            y_name="added_dephasing",
-            y_unit="Hz",
-            metadata={"gamma0_hz": params.intrinsic_linewidth, "b_field_t": params.b_field},
         )
-        _maybe_write(args, trace, "flipflop")
+    report.curve = TimeTrace(
+        x=temps,
+        y=added_t,
+        x_name="temperature",
+        x_unit="K",
+        y_name="added_dephasing",
+        y_unit="Hz",
+        metadata={"gamma0_hz": params.intrinsic_linewidth, "b_field_t": params.b_field},
+    )
     return report
 
 
 def cmd_golden(args, doc: ConfigDocument) -> RunReport:
-    """Every quantity in REFERENCES, checked against its paper value."""
+    """The REFERENCES rows of the subcommands that check them, run at their default flags."""
+    parser = build_parser()
+    rows = {}
+    for name in ("spectro", "cavity", "budget", "sfs", "spinbath", "flipflop"):
+        rows.update((row.name, row) for row in HANDLERS[name](parser.parse_args([name]), doc).rows)
+    report = RunReport("golden regression sweep", [rows[name] for name in REFERENCES])
     if args.write_config:
         with open(args.write_config, "w", encoding="utf-8") as handle:
             handle.write(serialize(doc))
-        print(f"wrote {args.write_config}", file=sys.stderr)
-    report = RunReport("golden regression sweep")
-    for sub in (cmd_spectro, cmd_cavity, cmd_spinbath, cmd_flipflop):
-        report.rows += sub(args, doc).rows
-    report.check("overall_efficiency", cavity.detection_budget(doc.detection_chain()).total)
-    doped = 1.0 / (math.pi * doc.si("simulation", "t2_us"))
-    undoped = 1.0 / (math.pi * doc.si("simulation", "t2_undoped_us"))
-    report.check("flip_flop_upper_bound", (doped - undoped) / 1e3, "kHz")
-    sfs = doc.si("simulation", "sfs_amplitude"), doc.si("simulation", "sfs_exponent")
-    report.check("single_ion_threshold", dynamics.single_ion_threshold(*sfs), "GHz")
-    rows = {row.name: row for row in report.rows}
-    report.rows = [rows[name] for name in REFERENCES]
+        report.notes.append(f"wrote {args.write_config}")
     return report
 
 
@@ -489,10 +472,11 @@ def cmd_golden(args, doc: ConfigDocument) -> RunReport:
 # parser
 
 
-def _worker_count(text: str) -> int:
+def _count(text: str) -> int:
+    # below 2^59: at 2^60 float64 elements numpy raises ValueError, not MemoryError
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not 1 <= value < 2**59:
+        raise argparse.ArgumentTypeError(f"must be at least 1 and below 2^59, got {value}")
     return value
 
 
@@ -508,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     writes.add_argument("--out", help="CSV output path")
     monte_carlo = argparse.ArgumentParser(add_help=False, parents=[writes])
     monte_carlo.add_argument("--seed", type=int, help="override the master random seed")
-    monte_carlo.add_argument("--workers", type=_worker_count, default=1)
+    monte_carlo.add_argument("--workers", type=_count, default=1)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sub.add_parser("spectro", parents=[common], help="transition parameter derivation chain")
@@ -520,13 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rabi", parents=[writes], help="Rabi nutation versus photon number")
     p.add_argument("--nbar-max", type=float, default=0.2)
-    p.add_argument("--points", type=int, default=400)
+    p.add_argument("--points", type=_count, default=400)
     p.add_argument("--pulse-ns", type=float, default=None)
     p.add_argument("--fit-input", help="fit an existing rabi CSV instead of simulating")
 
     p = sub.add_parser("ramsey", parents=[writes], help="Ramsey fringes and T2* extraction")
     p.add_argument("--delay-max-us", type=float, default=12.0)
-    p.add_argument("--points", type=int, default=960)
+    p.add_argument("--points", type=_count, default=960)
     p.add_argument("--beat-khz", type=float, default=None,
                    help="beat frequency; default: computed superhyperfine ground splitting")
     p.add_argument("--detuning-khz", type=float, default=0.0)
@@ -534,14 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("echo", parents=[writes], help="two-pulse echo decay and T2 fit")
     p.add_argument("--t12-max-us", type=float, default=30.0)
-    p.add_argument("--points", type=int, default=600)
+    p.add_argument("--points", type=_count, default=600)
     p.add_argument("--t-min-us", type=float, default=4.0, help="start of the linear fit window")
     p.add_argument("--no-modulation", action="store_true")
     p.add_argument("--fit-input", help="fit an existing echo CSV instead of simulating")
 
     p = sub.add_parser("g2", parents=[monte_carlo], help="pulsed photon correlation Monte Carlo")
-    p.add_argument("--pulses", type=int, default=5_000_000)
-    p.add_argument("--max-lag", type=int, default=100)
+    p.add_argument("--pulses", type=_count, default=5_000_000)
+    p.add_argument("--max-lag", type=_count, default=100)
     p.add_argument("--no-shelving", action="store_true")
 
     p = sub.add_parser(
@@ -552,20 +536,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-mhz", type=float, default=100.0)
 
     p = sub.add_parser("histogram", parents=[monte_carlo], help="ion-cavity coupling histogram")
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--bins", type=int, default=25)
+    p.add_argument("--samples", type=_count, default=200_000)
+    p.add_argument("--bins", type=_count, default=25)
 
     p = sub.add_parser("spinbath", parents=[writes], help="superhyperfine splitting table")
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_count, default=100)
 
     p = sub.add_parser("flipflop", parents=[writes], help="flip-flop dephasing model")
     p.add_argument("--t-min-k", type=float, default=0.1)
     p.add_argument("--t-max-k", type=float, default=4.0)
-    p.add_argument("--points", type=int, default=80)
+    p.add_argument("--points", type=_count, default=80)
 
     p = sub.add_parser("golden", parents=[common], help="compare all quantities to references")
     p.add_argument("--write-config", help="write the effective configuration to a file")
-    p.set_defaults(q_scale=10.0, out=None)  # the sub-handlers' flags golden does not offer
 
     return parser
 
@@ -587,14 +570,21 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    blame = ""
     try:
         doc = parse_config(args.config) if args.config else default_document()
+        if keys := changed_keys(doc):
+            blame = f" (config keys off their defaults: {', '.join(keys)})"
         report = HANDLERS[args.subcommand](args, doc)
+        if report.curve is not None and args.out:
+            write_trace_csv(args.out, report.curve, args.subcommand)
+            print(f"wrote {args.out}", file=sys.stderr)
         print(report.render())
+        for note in report.notes:
+            print(note, file=sys.stderr)
         if not report.all_passed:
-            print("one or more quantities fell outside tolerance", file=sys.stderr)
+            print(f"one or more quantities fell outside tolerance{blame}", file=sys.stderr)
             return EXIT_NUMERIC
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -603,7 +593,9 @@ def main(argv=None) -> int:
         print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericError, ArithmeticError, MemoryError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+        if isinstance(exc, OverflowError) and len(exc.args) == 2:  # float overflow: (errno, text)
+            exc = exc.args[1]
+        print(f"numeric error: {exc}{blame}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

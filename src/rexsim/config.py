@@ -259,6 +259,12 @@ def default_document() -> ConfigDocument:
     return ConfigDocument(values=values)
 
 
+def changed_keys(doc: ConfigDocument) -> list[str]:
+    """'[section] name = value' for each key whose value differs from its default."""
+    return [f"[{k.section}] {k.name} = {doc.raw(k.section, k.name)}"
+            for k in KEY_TABLE if doc.raw(k.section, k.name) != k.default]
+
+
 def parse_config_text(text: str) -> ConfigDocument:
     """Parse and validate configuration text; defaults fill missing keys."""
     doc = default_document()

@@ -23,15 +23,15 @@ def _format(value) -> str:
     return str(value)
 
 
-def render_trace_csv(trace: TimeTrace, subcommand: str, seed: int | None = None) -> str:
+def render_trace_csv(trace: TimeTrace, subcommand: str) -> str:
     """Render a trace (and its extra columns) to CSV text."""
     out = io.StringIO()
     out.write(f"# rexsim {__version__}\n")
     out.write(f"# subcommand: {subcommand}\n")
     now = datetime.datetime.now(datetime.timezone.utc).isoformat()
     out.write(f"# timestamp: {now}\n")
-    if seed is not None:
-        out.write(f"# seed: {seed}\n")
+    if "seed" in trace.metadata:
+        out.write(f"# seed: {trace.metadata['seed']}\n")
     for name in sorted(trace.metadata):
         out.write(f"# param {name} = {_format(trace.metadata[name])}\n")
     columns = [f"{trace.x_name}_{trace.x_unit}", f"{trace.y_name}_{trace.y_unit}"]
@@ -45,9 +45,9 @@ def render_trace_csv(trace: TimeTrace, subcommand: str, seed: int | None = None)
     return out.getvalue()
 
 
-def write_trace_csv(path: str, trace: TimeTrace, subcommand: str, seed: int | None = None):
+def write_trace_csv(path: str, trace: TimeTrace, subcommand: str):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_trace_csv(trace, subcommand, seed))
+        handle.write(render_trace_csv(trace, subcommand))
 
 
 def read_trace_csv(path: str) -> TimeTrace:

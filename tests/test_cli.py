@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rexsim.cli import HANDLERS, REFERENCES, build_parser, cmd_golden, main
-from rexsim.config import default_document
+from rexsim.config import default_document, parse_config
 from rexsim.csvio import read_trace_csv, render_trace_csv, strip_timestamp, write_trace_csv
 from rexsim.trace import TimeTrace
 
@@ -129,6 +129,33 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--workers: must be at least 1" in capsys.readouterr().err
 
+    # never --samples at a huge value: the histogram chunk list grows with it
+    @pytest.mark.parametrize("argv", [
+        ["rabi", "--points", "-1"],
+        ["spinbath", "--out", "x.csv", "--points", "-1"],
+        ["flipflop", "--out", "x.csv", "--points", "-1"],
+        ["ramsey", "--points", "0"],
+        ["g2", "--max-lag", "0"],
+        ["histogram", "--samples", "0"],
+        ["rabi", "--points", "10000000000000000000"],
+        ["spinbath", "--out", "x.csv", "--points", "10000000000000000000"],
+        ["histogram", "--bins", "10000000000000000000"],
+        ["g2", "--pulses", "10000000000000000000"],
+        ["g2", "--pulses", "5000000000000000000"],
+        ["sfs", "--workers", str(2**59)],
+    ], ids=" ".join)
+    def test_count_out_of_range_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be at least 1" in capsys.readouterr().err
+
+    def test_failed_run_writes_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "echo.csv"
+        assert main(["echo", "--t-min-us", "29.99", "--out", str(out)]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("numeric error: ")
+
     def test_numeric_failure_exits_4(self, capsys):
         # far too short a record for the requested normalization window
         assert main(["g2", "--pulses", "30000", "--max-lag", "20"]) == 4
@@ -154,6 +181,26 @@ class TestGolden:
         assert len(report.rows) == 24
         assert all(row.passed is True for row in report.rows)
 
+    def test_rows_are_what_the_subcommands_print(self, capsys):
+        def checked_rows(subcommand):
+            assert main([subcommand]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return {cells[0]: cells for cells in map(str.split, lines) if cells and cells[0] in REFERENCES}
+
+        golden = checked_rows("golden")
+        printed = {}
+        for subcommand in ("spectro", "cavity", "budget", "sfs", "spinbath", "flipflop"):
+            printed.update(checked_rows(subcommand))
+        assert list(golden) == list(REFERENCES)
+        assert golden == {name: printed[name] for name in REFERENCES}
+
+    def test_flipflop_checks_the_flip_flop_upper_bound(self):
+        report = HANDLERS["flipflop"](build_parser().parse_args(["flipflop"]), default_document())
+        row = {row.name: row for row in report.rows}["flip_flop_upper_bound"]
+        doped, undoped = 1 / (np.pi * 25.4e-6), 1 / (np.pi * 27.0e-6)
+        assert row.value == pytest.approx((doped - undoped) / 1e3)
+        assert (row.reference, row.unit, row.passed) == (1.0, "kHz", True)
+
     def test_rows_outside_the_table_are_unchecked(self):
         doc = default_document()
 
@@ -165,6 +212,30 @@ class TestGolden:
         assert echo["delta_g"].reference is None and echo["delta_e"].reference is None
         assert rows("cavity", "--q-scale", "5")["cooperativity_qx5"].reference is None
         assert rows("cavity")["cooperativity_qx10"].passed is True
+
+
+# g2 at p_detect 0.5 reaches its coincidence floor in 400000 pulses; rabi at 3
+# points has too few extrema, so its report carries a note
+@pytest.mark.parametrize("argv", [
+    ["spectro"], ["cavity"], ["budget", "--out"], ["rabi", "--points", "3", "--out"],
+    ["ramsey", "--out"], ["echo", "--out"], ["g2", "--pulses", "400000", "--max-lag", "40", "--out"],
+    ["sfs", "--out"], ["histogram", "--out"], ["spinbath", "--out"], ["flipflop", "--out"],
+], ids=lambda argv: argv[0])
+def test_only_main_writes_output(tmp_path, capsys, argv):
+    """A handler returns its report, notes and curve; main prints them and writes the CSV."""
+    config, out = tmp_path / "fast.ini", tmp_path / "curve.csv"
+    config.write_text("[simulation]\np_detect = 0.5\nbackground_per_pulse = 0.02\n",
+                      encoding="utf-8")
+    argv = [*argv, *([str(out)] if argv[-1] == "--out" else []), "--config", str(config)]
+    args = build_parser().parse_args(argv)
+    report = HANDLERS[args.subcommand](args, parse_config(str(config)))
+    assert capsys.readouterr() == ("", "")
+    assert not out.exists()
+    assert main(argv) == 0
+    printed, err = capsys.readouterr()
+    assert printed == report.render() + "\n"
+    assert err.splitlines() == [f"wrote {out}"] * out.exists() + report.notes
+    assert out.exists() == (report.curve is not None)
 
 
 class TestCsvContract:
@@ -191,11 +262,11 @@ class TestCsvContract:
             x_unit="s",
             y_name="g2",
             y_unit="dimensionless",
-            metadata={"alpha": 1.5, "note": "x"},
+            metadata={"alpha": 1.5, "note": "x", "seed": 5},
             extra={"sigma": np.array([0.1, 0.2, 0.3])},
         )
         path = tmp_path / "trace.csv"
-        write_trace_csv(str(path), trace, "g2", seed=5)
+        write_trace_csv(str(path), trace, "g2")
         back = read_trace_csv(str(path))
         assert np.allclose(back.x, trace.x)
         assert np.allclose(back.y, trace.y)

@@ -113,9 +113,10 @@ def test_every_config_key_moves_an_output(tmp_path, capsys):
 
 
 def test_extreme_config_values_exit_cleanly(tmp_path, capsys):
-    """Each numeric INI key at 1e-300 and at 1e300 exits 0, 3 or 4; no exception escapes main.
+    """Each numeric INI key at 1e-300 and at 1e300 exits 0, 3 or 4; no exception escapes main,
+    and every exit-4 message names the key behind it.
 
-    A seed outside [0, 2^64) is bad input, so sfs, which draws with it, must exit 3.
+    A seed outside [0, 2^64) is bad input, so golden and sfs, which draw with it, must exit 3.
     """
     config = tmp_path / "extreme.ini"
     escaped = []
@@ -129,9 +130,10 @@ def test_extreme_config_values_exit_cleanly(tmp_path, capsys):
                     code = main([subcommand, "--config", str(config)])
                 except Exception as exc:
                     code = repr(exc)
-                capsys.readouterr()
-                allowed = (3,) if (key.name, subcommand) == ("seed", "sfs") else (0, 3, 4)
-                if code not in allowed:
-                    escaped.append(f"{key.section}.{key.name} = {value} ({subcommand}: {code})")
+                err = capsys.readouterr().err
+                allowed = (3,) if key.name == "seed" and subcommand in ("golden", "sfs") else (0, 3, 4)
+                named = code != 4 or (f"[{key.section}] {key.name} = " in err and "(34," not in err)
+                if code not in allowed or not named:
+                    escaped.append(f"{key.section}.{key.name} = {value} ({subcommand}: {code} {err!r})")
                     break
     assert escaped == []
