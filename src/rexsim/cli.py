@@ -571,11 +571,15 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    defaults = vars(build_parser().parse_args([args.subcommand]))
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in vars(args).items() if v != defaults[k]]
     blame = ""
     try:
         doc = parse_config(args.config) if args.config else default_document()
-        if keys := changed_keys(doc):
-            blame = f" (config keys off their defaults: {', '.join(keys)})"
+        off = [f"{what} off their defaults: {', '.join(names)}"
+               for what, names in (("config keys", changed_keys(doc)), ("flags", flags)) if names]
+        if off:
+            blame = f" ({'; '.join(off)})"
         report = HANDLERS[args.subcommand](args, doc)
         if report.curve is not None and args.out:
             write_trace_csv(args.out, report.curve, args.subcommand)

@@ -10,26 +10,21 @@ w = -1 the ground state and equations of motion
 for a resonant drive of Rabi rate Omega (rad/s) detuned by Delta (rad/s).
 Pulse sequences are piecewise constant, so each segment is propagated with
 the exact matrix exponential of the affine system (machine precision and
-strictly contractive, which keeps the Bloch vector inside the unit ball).
-An adaptive Runge-Kutta path is kept for cross-validation.
+strictly contractive, which keeps the Bloch vector inside the unit ball);
+a pulse, a nutation scan or a sequence takes one batched exponential. An
+adaptive Runge-Kutta path is kept for cross-validation. scipy is imported
+where it is called, so importing this module loads numpy only.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
-from scipy.optimize import curve_fit
 
 from .errors import FitError, ValidationError
 from .quantities import AngularRate, OrdinaryFrequency, check_radiative_limit
 from .spectral import dominant_beat, interior_maxima, line_fit
 from .trace import TimeTrace
-
-# Defaults for the adaptive integrator path.
-RTOL = 1e-8
-ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,7 +33,7 @@ class TwoLevelParams:
 
     T2 above the radiative limit 2*T1 is clamped to 2*T1 within a 5%
     tolerance band and rejected beyond it. Infinite lifetimes are allowed
-    (undamped dynamics).
+    (undamped dynamics); NaN is not.
     """
 
     rabi: AngularRate = 0.0
@@ -47,8 +42,8 @@ class TwoLevelParams:
     t2: float = math.inf
 
     def __post_init__(self):
-        if self.t1 <= 0.0 or self.t2 <= 0.0:
-            raise ValidationError("T1 and T2 must be positive")
+        if not (self.t1 > 0.0 and self.t2 > 0.0):
+            raise ValidationError(f"T1 and T2 must be positive, got {self.t1} s and {self.t2} s")
         check_radiative_limit(self.t1, self.t2)
         object.__setattr__(self, "t2", min(self.t2, 2.0 * self.t1))
 
@@ -63,8 +58,8 @@ class PulseSegment:
     detuning: AngularRate = 0.0
 
     def __post_init__(self):
-        if self.duration < 0.0:
-            raise ValidationError(f"segment duration must be non-negative, got {self.duration}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValidationError(f"segment duration must be in [0, inf), got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -96,21 +91,30 @@ class BlochState:
 GROUND = BlochState(0.0, 0.0, -1.0)
 
 
-def bloch_generator(p: TwoLevelParams, phase: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix A and inhomogeneous term b of d(u,v,w)/dt = A (u,v,w) + b."""
-    g1 = 0.0 if math.isinf(p.t1) else 1.0 / p.t1
-    g2 = 0.0 if math.isinf(p.t2) else 1.0 / p.t2
-    ox = p.rabi * math.cos(phase)
-    oy = p.rabi * math.sin(phase)
-    a = np.array(
-        [
-            [-g2, p.detuning, oy],
-            [-p.detuning, -g2, ox],
-            [-oy, -ox, -g1],
-        ]
-    )
-    b = np.array([0.0, 0.0, -g1])
-    return a, b
+def _generators(rabi, detuning, phase, t1: float, t2: float) -> np.ndarray:
+    """Stacked generators G of d(u, v, w, 1)/dt = G (u, v, w, 1), shape (..., 4, 4)."""
+    g1 = 0.0 if math.isinf(t1) else 1.0 / t1
+    g2 = 0.0 if math.isinf(t2) else 1.0 / t2
+    ox = rabi * np.cos(phase)
+    oy = rabi * np.sin(phase)
+    gen = np.zeros(np.shape(ox) + (4, 4))
+    gen[..., 0, 0] = gen[..., 1, 1] = -g2
+    gen[..., 2, 2] = gen[..., 2, 3] = -g1
+    gen[..., 0, 1], gen[..., 1, 0] = detuning, -detuning
+    gen[..., 0, 2], gen[..., 2, 0] = oy, -oy
+    gen[..., 1, 2], gen[..., 2, 1] = ox, -ox
+    return gen
+
+
+def _propagators(gens: np.ndarray, durations) -> np.ndarray:
+    """exp(G t) for each stacked generator: the module's one matrix exponential.
+
+    scipy's expm runs the same Pade code on every slice, so a batch has the
+    bits of one call per generator.
+    """
+    from scipy.linalg import expm
+
+    return expm(gens * np.asarray(durations, dtype=float)[..., None, None])
 
 
 def bloch_evolve(
@@ -124,29 +128,22 @@ def bloch_evolve(
 
     method "exact" uses the matrix exponential of the augmented affine
     system (exact for constant coefficients); "adaptive" integrates with an
-    embedded Runge-Kutta pair at tolerances RTOL and ATOL and exists mainly
+    embedded Runge-Kutta pair at rtol 1e-8 and atol 1e-10 and exists mainly
     to cross-check the exact path.
     """
-    if duration < 0.0:
-        raise ValidationError("duration must be non-negative")
+    if not 0.0 <= duration < math.inf:
+        raise ValidationError(f"duration must be finite and non-negative, got {duration}")
     if duration == 0.0:
         return state
-    a, b = bloch_generator(p, phase=phase)
+    gen = _generators(p.rabi, p.detuning, phase, p.t1, p.t2)
     if method == "exact":
-        aug = np.zeros((4, 4))
-        aug[:3, :3] = a
-        aug[:3, 3] = b
-        propagated = expm(aug * duration) @ np.append(state.as_array(), 1.0)
-        return BlochState(*propagated[:3])
+        return BlochState(*(_propagators(gen, duration) @ np.append(state.as_array(), 1.0))[:3])
     if method == "adaptive":
-        sol = solve_ivp(
-            lambda t, y: a @ y + b,
-            (0.0, duration),
-            state.as_array(),
-            method="RK45",
-            rtol=RTOL,
-            atol=ATOL,
-        )
+        from scipy.integrate import solve_ivp
+
+        a, b = gen[:3, :3], gen[:3, 3]
+        sol = solve_ivp(lambda t, y: a @ y + b, (0.0, duration), state.as_array(),
+                        method="RK45", rtol=1e-8, atol=1e-10)
         if not sol.success:
             raise FitError(f"Bloch integrator failed: {sol.message}")
         return BlochState(*sol.y[:, -1])
@@ -157,9 +154,10 @@ def evolve_sequence(
     state: BlochState, sequence: PulseSequence, t1: float, t2: float
 ) -> BlochState:
     """Apply each segment of a pulse sequence in order."""
-    for seg in sequence.segments:
-        p = TwoLevelParams(rabi=seg.rabi, detuning=seg.detuning, t1=t1, t2=t2)
-        state = bloch_evolve(state, p, seg.duration, phase=seg.phase)
+    p = TwoLevelParams(t1=t1, t2=t2)
+    drive = np.array([(s.rabi, s.detuning, s.phase, s.duration) for s in sequence.segments])
+    for prop in _propagators(_generators(*drive[:, :3].T, p.t1, p.t2), drive[:, 3]):
+        state = BlochState(*(prop @ np.append(state.as_array(), 1.0))[:3])
     return state
 
 
@@ -167,8 +165,8 @@ def steady_state(p: TwoLevelParams) -> BlochState:
     """Analytic steady state of the driven, damped Bloch equations."""
     if math.isinf(p.t1) or math.isinf(p.t2):
         raise ValidationError("steady state requires finite T1 and T2")
-    a, b = bloch_generator(p)
-    return BlochState(*np.linalg.solve(a, -b))
+    gen = _generators(p.rabi, p.detuning, 0.0, p.t1, p.t2)
+    return BlochState(*np.linalg.solve(gen[:3, :3], -gen[:3, 3]))
 
 
 def rabi_nutation_scan(
@@ -185,18 +183,17 @@ def rabi_nutation_scan(
     the recorded photoluminescence is proportional to the excited population
     at the end of the pulse.
     """
-    if pulse_duration <= 0.0:
-        raise ValidationError("pulse duration must be positive")
+    if not 0.0 < pulse_duration < math.inf:
+        raise ValidationError(f"pulse duration must be positive and finite, got {pulse_duration}")
     nbar = np.asarray(nbar, dtype=float)
     if np.any(nbar < 0.0):
         raise ValidationError("photon numbers must be non-negative")
-    pl = np.empty_like(nbar)
-    for i, n in enumerate(nbar):
-        p = TwoLevelParams(rabi=2.0 * g0 * math.sqrt(n), detuning=detuning, t1=t1, t2=t2)
-        pl[i] = bloch_evolve(GROUND, p, pulse_duration).excited_population
+    p = TwoLevelParams(t1=t1, t2=t2)
+    gens = _generators(2.0 * g0 * np.sqrt(nbar), detuning, 0.0, p.t1, p.t2)
+    final = _propagators(gens, pulse_duration) @ np.append(GROUND.as_array(), 1.0)
     return TimeTrace(
         x=nbar,
-        y=pl,
+        y=(1.0 + final[..., 2]) / 2.0,
         x_name="nbar",
         x_unit="photons",
         y_name="excited_population",
@@ -315,6 +312,8 @@ def _fit_damped_fringe(t: np.ndarray, signal: np.ndarray) -> FitResult:
     subtraction (the fringe does not average to exactly zero over a finite
     window), which matters downstream when the envelope is divided out.
     """
+    from scipy.optimize import curve_fit
+
     f0 = dominant_beat(t, signal)
 
     def model(tt, amplitude, frequency, phase, tau, offset):

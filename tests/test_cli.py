@@ -161,6 +161,10 @@ class TestExitCodes:
         assert main(["g2", "--pulses", "30000", "--max-lag", "20"]) == 4
         assert "coincidences" in capsys.readouterr().err
 
+    def test_numeric_failure_names_the_flags(self, capsys):
+        assert main(["cavity", "--q-scale", "1e308"]) == 4
+        assert "(flags off their defaults: --q-scale=1e+308)" in capsys.readouterr().err
+
 
 class TestGolden:
     def test_all_rows_within_tolerance(self, capsys):

@@ -187,6 +187,67 @@ class TestRabiNutation:
         assert strong.y.max() < weak.y.max()
 
 
+
+class TestBatchedPropagation:
+    """One batched matrix exponential against one bloch_evolve call per point or segment."""
+
+    @pytest.mark.parametrize("t1, t2", [(2.1e-6, 4.0e-6), (math.inf, math.inf)],
+                             ids=["damped", "undamped"])
+    @pytest.mark.parametrize("detuning", [0.0, ang(1.3e6)], ids=["resonant", "detuned"])
+    def test_scan_is_bitwise_the_per_point_loop(self, t1, t2, detuning):
+        g0, pulse = ang(28.5e6), 250e-9  # the rexsim rabi defaults
+        nbar = np.linspace(0.0, 0.2, 400)
+        scan = rabi_nutation_scan(g0, nbar, pulse, t1, t2, detuning)
+        loop = [
+            bloch_evolve(
+                GROUND,
+                TwoLevelParams(rabi=2.0 * g0 * math.sqrt(n), detuning=detuning, t1=t1, t2=t2),
+                pulse,
+            ).excited_population
+            for n in nbar
+        ]
+        assert np.array_equal(scan.y, loop)
+
+    def test_sequence_is_bitwise_segment_by_segment(self):
+        rng = np.random.default_rng(14)
+        for k in range(200):
+            t1 = rng.uniform(0.5e-6, 200e-6)
+            t2 = rng.uniform(0.1, 1.0) * 2 * t1
+            segments = [
+                PulseSegment(
+                    duration=0.0 if i == k % 4 else rng.uniform(1e-9, 2e-6),
+                    rabi=rng.uniform(0, ang(100e6)) if rng.random() < 0.75 else 0.0,
+                    phase=rng.uniform(0, 2 * math.pi),
+                    detuning=rng.uniform(-ang(10e6), ang(10e6)),
+                )
+                for i in range(4)
+            ]
+            state = GROUND
+            for seg in segments:
+                p = TwoLevelParams(rabi=seg.rabi, detuning=seg.detuning, t1=t1, t2=t2)
+                state = bloch_evolve(state, p, seg.duration, phase=seg.phase)
+            assert evolve_sequence(GROUND, PulseSequence(tuple(segments)), t1, t2) == state
+
+
+DRIVEN = TwoLevelParams(rabi=1e7, t1=1e-6, t2=1e-6)
+REJECTED = {
+    "segment-nan": lambda: PulseSegment(math.nan),
+    "segment-inf": lambda: PulseSegment(math.inf),
+    "evolve-nan": lambda: bloch_evolve(GROUND, DRIVEN, math.nan),
+    "evolve-inf": lambda: bloch_evolve(GROUND, DRIVEN, math.inf),
+    "scan-pulse-nan": lambda: rabi_nutation_scan(ang(28.5e6), [0.1], math.nan, 2.1e-6, 4e-6),
+    "scan-pulse-inf": lambda: rabi_nutation_scan(ang(28.5e6), [0.1], math.inf, 2.1e-6, 4e-6),
+    "t1-nan": lambda: TwoLevelParams(t1=math.nan, t2=1e-6),
+    "t2-nan": lambda: TwoLevelParams(t1=1e-6, t2=math.nan),
+}
+
+
+@pytest.mark.parametrize("make", REJECTED.values(), ids=REJECTED)
+def test_non_finite_bloch_inputs_rejected(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
 class TestRamsey:
     def test_envelope_nodes_at_beat_period(self):
         beat = 740e3

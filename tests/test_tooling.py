@@ -34,6 +34,17 @@ def test_config_and_photonstats_import_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_and_golden_load_no_scipy():
+    """The CLI and golden stay numpy-only; scipy loads only in rabi and ramsey."""
+    proc = run_python(
+        "-c",
+        "import sys, rexsim.cli; rexsim.cli.main(['golden']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     proc = run_python(str(demo))
