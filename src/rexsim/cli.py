@@ -324,7 +324,9 @@ def cmd_g2(args, doc: ConfigDocument) -> RunReport:
     background = doc.background()
     period = doc.pulse_period()
     seed = args.seed if args.seed is not None else doc.seed()
-    record = photonstats.simulate_emitter_stream(scheme, background, args.pulses, period, seed)
+    record = photonstats.simulate_emitter_stream(
+        scheme, background, args.pulses, period, seed, workers=args.workers
+    )
     trace = photonstats.g2_estimator(record, args.max_lag)
     signal = scheme.p_excite * scheme.p_detect
     rho = signal / (signal + background.mean_per_pulse)
@@ -575,6 +577,11 @@ def main(argv=None) -> int:
     flags = [f"--{k.replace('_', '-')}={v}" for k, v in vars(args).items() if v != defaults[k]]
     blame = ""
     try:
+        # every float flag before it reaches a grid; cmd_rabi checks the pulse
+        # it resolves from --pulse-ns, the config or a --fit-input CSV
+        for name, value in vars(args).items():
+            if isinstance(value, float) and name != "pulse_ns" and not math.isfinite(value):
+                raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
         doc = parse_config(args.config) if args.config else default_document()
         off = [f"{what} off their defaults: {', '.join(names)}"
                for what, names in (("config keys", changed_keys(doc)), ("flags", flags)) if names]
@@ -591,7 +598,7 @@ def main(argv=None) -> int:
             print(f"one or more quantities fell outside tolerance{blame}", file=sys.stderr)
             return EXIT_NUMERIC
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}{blame}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # every user-named path: --config, --fit-input, --out, --write-config
         print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)

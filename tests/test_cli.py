@@ -2,6 +2,7 @@ import contextlib
 import io
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,25 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["rabi", "--nbar-max", "inf"],
+        ["rabi", "--nbar-max", "nan"],
+        ["ramsey", "--delay-max-us", "inf"],
+        ["ramsey", "--detuning-khz", "inf"],
+        ["ramsey", "--beat-khz", "nan"],
+        ["echo", "--t12-max-us", "inf"],
+        ["flipflop", "--t-max-k", "inf"],
+        ["rabi", "--pulse-ns", "1e300"],
+    ], ids=" ".join)
+    def test_non_finite_float_flag_is_named(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may precede the message
+            assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert argv[1] in err
 
     def test_huge_sfs_amplitude_exits_3(self, tmp_path, capsys):
         config = tmp_path / "huge.ini"

@@ -6,7 +6,10 @@ from scipy import stats
 
 from rexsim.config import default_document
 from rexsim.errors import FitError, ValidationError
+from rexsim import photonstats
 from rexsim.photonstats import (
+    CHUNK,
+    SPARSE_MAX_OCCUPANCY,
     BackgroundModel,
     CountRecord,
     EmitterLevelScheme,
@@ -249,3 +252,159 @@ class TestDeterminism:
         first = simulate_emitter_stream(scheme, bg, 200_000, PERIOD, seed=99)
         second = simulate_emitter_stream(scheme, bg, 200_000, PERIOD, seed=99)
         assert np.array_equal(first.counts, second.counts)
+
+
+# Reference implementations: the pulse-by-pulse shelving walk and the
+# lag-by-lag coincidence sum that the array code replaced.
+
+
+def reference_shelf_activity(emitted, shelve_draw, recover_draw):
+    n = emitted.size
+    active = np.ones(n, dtype=bool)
+    shelf_candidates = np.flatnonzero(emitted & shelve_draw)
+    recover_idx = np.flatnonzero(recover_draw)
+    pos = 0
+    while True:
+        nxt = np.searchsorted(shelf_candidates, pos)
+        if nxt == shelf_candidates.size:
+            break
+        j = shelf_candidates[nxt]
+        r = np.searchsorted(recover_idx, j + 1)
+        k = recover_idx[r] if r < recover_idx.size else n
+        active[j + 1 : k] = False
+        pos = k
+    return active
+
+
+def reference_coincidences(counts, max_lag):
+    c = counts.astype(np.float64)
+    out = np.empty(max_lag + 1)
+    out[0] = float(np.dot(c, c) - c.sum())
+    for m in range(1, max_lag + 1):
+        out[m] = float(np.dot(c[:-m], c[m:]))
+    return out
+
+
+def single_draw_below(seed, stream_id, p, n):
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(n) < p
+
+
+def reference_stream(scheme, background, n, period, seed):
+    excite = single_draw_below(seed, 0, scheme.p_excite, n)
+    detect = single_draw_below(seed, 1, scheme.p_detect, n)
+    active = True
+    if scheme.p_shelve > 0.0:
+        shelve = single_draw_below(seed, 2, scheme.p_shelve, n)
+        recover = single_draw_below(seed, 3, -math.expm1(-scheme.shelf_recovery * period), n)
+        active = reference_shelf_activity(excite, shelve, recover)
+    counts = (excite & detect & active).astype(np.int64)
+    if background.mean_per_pulse > 0.0:
+        key = np.array([seed, 4], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        counts = counts + rng.poisson(background.mean_per_pulse, n)
+    return counts
+
+
+class TestShelvingWalk:
+    @pytest.mark.parametrize("p_shelve, q_recover", [
+        (0.1, 0.05), (0.5, 0.001), (0.01, 0.5), (0.9, 0.9),
+    ])
+    def test_matches_reference_walk(self, p_shelve, q_recover):
+        rng = np.random.default_rng(51)
+        n = 100_000
+        emitted = rng.random(n) < 0.6
+        shelve = rng.random(n) < p_shelve
+        recover = rng.random(n) < q_recover
+        active = photonstats._shelf_activity(emitted, shelve, recover)
+        assert active.dtype == bool
+        assert np.array_equal(active, reference_shelf_activity(emitted, shelve, recover))
+
+    @staticmethod
+    def walk(n, candidates, recoveries):
+        emitted = np.zeros(n, dtype=bool)
+        emitted[candidates] = True
+        recover = np.zeros(n, dtype=bool)
+        recover[recoveries] = True
+        active = photonstats._shelf_activity(emitted, emitted.copy(), recover)
+        assert np.array_equal(active, reference_shelf_activity(emitted, emitted, recover))
+        return np.flatnonzero(~active).tolist()
+
+    def test_no_candidates(self):
+        assert self.walk(10, [], [3, 7]) == []
+
+    def test_no_recoveries_stays_dark_to_the_end(self):
+        assert self.walk(10, [2, 5], []) == [3, 4, 5, 6, 7, 8, 9]
+
+    def test_candidate_on_last_pulse(self):
+        assert self.walk(10, [9], [4]) == []
+        assert self.walk(10, [1, 9], [4]) == [2, 3]
+
+    def test_recovery_right_after_shelving(self):
+        assert self.walk(10, [2], [3]) == []
+        assert self.walk(10, [2, 3, 6], [3, 5, 8]) == [4, 7]
+
+    def test_candidates_inside_a_dark_run_are_ignored(self):
+        assert self.walk(12, [1, 3, 4, 6], [6, 10]) == [2, 3, 4, 5, 7, 8, 9]
+
+
+class TestChunkedDraws:
+    N = 3 * CHUNK + 5
+
+    @pytest.mark.parametrize("stream_id", [0, 1, 2, 3])
+    def test_chunks_join_into_the_single_draw(self, stream_id):
+        """Guards the Philox block layout (four doubles per block) behind advance()."""
+        expected = single_draw_below(77, stream_id, 0.3, self.N)
+        for workers in (1, 2, 3):
+            drawn = photonstats._uniform_below(77, stream_id, 0.3, self.N, workers)
+            assert np.array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("p_shelve, background", [(0.0, 0.0), (0.1, 0.0), (0.1, 0.05)])
+    def test_stream_matches_single_draw_reference(self, p_shelve, background):
+        scheme = EmitterLevelScheme(
+            p_excite=0.55, p_detect=0.3, p_shelve=p_shelve, shelf_recovery=1400.0
+        )
+        bg = BackgroundModel(mean_per_pulse=background)
+        expected = reference_stream(scheme, bg, self.N, PERIOD, 12345)
+        for workers in (1, 2, 3):
+            record = simulate_emitter_stream(scheme, bg, self.N, PERIOD, 12345, workers=workers)
+            assert record.counts.dtype == np.int64
+            assert np.array_equal(record.counts, expected)
+
+
+class TestSparseCoincidences:
+    @staticmethod
+    def record(mean, occupancy, n=20_000):
+        """Poisson counts kept on a random share `occupancy` of the pulses."""
+        rng = np.random.default_rng(61)
+        return rng.poisson(mean, n) * (rng.random(n) < occupancy)
+
+    @pytest.mark.parametrize("max_lag", [4, 100, 1000])
+    @pytest.mark.parametrize("mean", [0.5, 3.0])
+    @pytest.mark.parametrize("occupancy", [0.02, 1.0], ids=["sparse", "dense"])
+    def test_both_paths_match_reference(self, monkeypatch, max_lag, mean, occupancy):
+        counts = self.record(mean, occupancy)
+        assert counts.max() >= 2
+        dense = np.count_nonzero(counts) / counts.size > SPARSE_MAX_OCCUPANCY
+        assert dense == (occupancy == 1.0)
+        expected = reference_coincidences(counts, max_lag)
+        assert np.array_equal(photonstats._coincidences(counts, max_lag), expected)
+        for forced in (0.0, 1.0):  # 0: always the dot loop, 1: always the pair sum
+            monkeypatch.setattr(photonstats, "SPARSE_MAX_OCCUPANCY", forced)
+            assert np.array_equal(photonstats._coincidences(counts, max_lag), expected)
+
+    def test_estimator_identical_on_either_path(self, monkeypatch):
+        record = CountRecord(counts=self.record(0.5, 0.05, 200_000), period=PERIOD, seed=0)
+        monkeypatch.setattr(photonstats, "SPARSE_MAX_OCCUPANCY", 0.0)
+        dense = g2_estimator(record, 100, min_norm_coincidences=0.0)
+        monkeypatch.setattr(photonstats, "SPARSE_MAX_OCCUPANCY", 1.0)
+        sparse = g2_estimator(record, 100, min_norm_coincidences=0.0)
+        assert np.array_equal(dense.y, sparse.y)
+        assert np.array_equal(dense.extra["sigma"], sparse.extra["sigma"])
+
+    def test_single_event_has_no_pairs(self):
+        counts = np.zeros(100, dtype=np.int64)
+        counts[50] = 3
+        expected = np.zeros(11)
+        expected[0] = 6.0
+        assert np.array_equal(photonstats._coincidences(counts, 10), expected)
