@@ -13,12 +13,8 @@ import numpy as np
 
 from .constants import EPS0, HBAR
 from .errors import FitError, InconsistencyError, ValidationError
-from .quantities import AngularRate, check_radiative_limit
+from .quantities import MEASUREMENT_TOLERANCE, AngularRate, check_radiative_limit
 from .spectral import line_fit
-
-# Measured kappa and Q come from different instruments; they must agree to
-# this relative level before the explicitly supplied kappa is trusted.
-KAPPA_Q_TOLERANCE = 0.05
 
 
 def kappa_from_q(omega0: AngularRate, q_factor: float) -> AngularRate:
@@ -56,10 +52,10 @@ class CavityDevice:
         if self.kappa is not None:
             derived = kappa_from_q(self.resonance, self.q_factor)
             deviation = abs(self.kappa - derived) / derived
-            if deviation > KAPPA_Q_TOLERANCE:
+            if deviation > MEASUREMENT_TOLERANCE:
                 raise InconsistencyError(
                     f"supplied kappa {self.kappa:.4g} rad/s disagrees with omega0/Q = "
-                    f"{derived:.4g} rad/s by {deviation:.1%} (> {KAPPA_Q_TOLERANCE:.0%})"
+                    f"{derived:.4g} rad/s by {deviation:.1%} (> {MEASUREMENT_TOLERANCE:.0%})"
                 )
 
     @property
@@ -252,7 +248,6 @@ def detection_budget(chain: DetectionChain) -> BudgetReport:
 class QScalingReport:
     """Projected performance after scaling the quality factor."""
 
-    factor: float
     kappa: AngularRate
     t_cav: float
     cooperativity: float
@@ -285,7 +280,6 @@ def project_q_scaling(
     gamma_rad = 1.0 / (2.0 * math.pi * t_cav)
     indist = gamma_rad / (gamma_rad + coherence.pure_dephasing)
     return QScalingReport(
-        factor=factor,
         kappa=kappa_scaled,
         t_cav=t_cav,
         cooperativity=coop,

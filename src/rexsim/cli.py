@@ -6,7 +6,8 @@ Only ``main`` writes output: reports to stdout, notes to stderr, curves to CSV.
 
 Exit codes: 0 success, 2 unknown subcommand or bad flags (argparse), 3
 validation/configuration failure or unusable path, 4 numeric failure
-(including overflow, division by zero and golden rows outside tolerance).
+(including overflow, division by zero, numpy floating-point errors and golden
+rows outside tolerance).
 """
 
 import argparse
@@ -25,7 +26,6 @@ from .spectroscopy import derive_transition, local_field_correction, zeeman_spli
 from .trace import TimeTrace
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
@@ -572,8 +572,9 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    defaults = vars(build_parser().parse_args([args.subcommand]))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    defaults = vars(parser.parse_args([args.subcommand]))
     flags = [f"--{k.replace('_', '-')}={v}" for k, v in vars(args).items() if v != defaults[k]]
     blame = ""
     try:
@@ -587,7 +588,9 @@ def main(argv=None) -> int:
                for what, names in (("config keys", changed_keys(doc)), ("flags", flags)) if names]
         if off:
             blame = f" ({'; '.join(off)})"
-        report = HANDLERS[args.subcommand](args, doc)
+        # a numpy overflow or invalid value raises FloatingPointError (exit 4), not a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = HANDLERS[args.subcommand](args, doc)
         if report.curve is not None and args.out:
             write_trace_csv(args.out, report.curve, args.subcommand)
             print(f"wrote {args.out}", file=sys.stderr)

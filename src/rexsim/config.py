@@ -52,8 +52,8 @@ KEY_TABLE: tuple[ConfigKey, ...] = (
               comment="ground-state g-factor perpendicular to the c-axis"),
     ConfigKey("material", "g_excited", 0.9, 1.0, 0.0,
               comment="excited-state g-factor; fitted-consistency value, not a measured one"),
-    ConfigKey("material", "local_field_model", "real", choices=("real", "virtual", "none"),
-              comment="local-field correction variant"),
+    ConfigKey("material", "local_field_model", "real",
+              choices=tuple(m.value for m in LocalFieldModel), comment="local-field correction variant"),
 
     ConfigKey("cavity", "q_factor", 3900.0, 1.0, 0.0, comment="loaded quality factor"),
     ConfigKey("cavity", "mode_volume_um3", 0.056, 1e-18, 0.0, comment="simulated mode volume"),
@@ -151,7 +151,6 @@ class ConfigDocument:
             wavelength=self.si("material", "wavelength_nm"),
             t1_fluorescence=self.si("material", "t1_bulk_us"),
             g_ground=self.si("material", "g_ground"),
-            g_excited=self.si("material", "g_excited"),
         )
 
     def local_field_model(self) -> LocalFieldModel:

@@ -161,14 +161,6 @@ def evolve_sequence(
     return state
 
 
-def steady_state(p: TwoLevelParams) -> BlochState:
-    """Analytic steady state of the driven, damped Bloch equations."""
-    if math.isinf(p.t1) or math.isinf(p.t2):
-        raise ValidationError("steady state requires finite T1 and T2")
-    gen = _generators(p.rabi, p.detuning, 0.0, p.t1, p.t2)
-    return BlochState(*np.linalg.solve(gen[:3, :3], -gen[:3, 3]))
-
-
 def rabi_nutation_scan(
     g0: AngularRate,
     nbar: np.ndarray,
@@ -375,7 +367,7 @@ def simulate_echo_decay(
     t12 = np.asarray(t12, dtype=float)
     intensity = np.exp(-4.0 * t12 / t2)
     if envelope is not None:
-        if envelope.x.shape != t12.shape or not np.allclose(envelope.x, t12):
+        if not np.array_equal(envelope.x, t12):
             raise ValidationError("envelope must be sampled on the same t12 grid")
         intensity = intensity * envelope.y**2
     return TimeTrace(

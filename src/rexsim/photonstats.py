@@ -223,8 +223,6 @@ def g2_estimator(
     counting of coincidences.
     """
     counts = record.counts
-    if counts.size == 0:
-        raise ValidationError("empty count record")
     if max_lag < 4:
         raise ValidationError("max_lag must be at least 4")
     if max_lag >= counts.size:

@@ -13,7 +13,7 @@ from enum import Enum
 
 from .constants import C_LIGHT, EPS0, E_CHARGE, HBAR, M_E, MU_B, H_PLANCK
 from .errors import InconsistencyError, ValidationError
-from .quantities import LIFETIME_TOLERANCE, AngularRate, OrdinaryFrequency
+from .quantities import MEASUREMENT_TOLERANCE, AngularRate, OrdinaryFrequency
 
 
 class LocalFieldModel(str, Enum):
@@ -32,7 +32,6 @@ class MaterialSpec:
     wavelength        vacuum wavelength, m
     t1_fluorescence   measured fluorescence lifetime of the upper level, s
     g_ground          ground-state g-factor perpendicular to the c-axis
-    g_excited         excited-state g-factor (fitted-consistency value, see config)
     """
 
     absorption_area: float
@@ -41,7 +40,6 @@ class MaterialSpec:
     wavelength: float
     t1_fluorescence: float
     g_ground: float
-    g_excited: float = 0.9
 
     def __post_init__(self):
         # absorption_area = 0 is allowed (no absorption -> f = 0)
@@ -135,10 +133,10 @@ def branching_ratio(t1: float, t_rad: float) -> float:
     """
     if t1 <= 0.0 or t_rad <= 0.0:
         raise ValidationError("lifetimes must be positive")
-    if t1 > LIFETIME_TOLERANCE * t_rad:
+    if t1 > (1.0 + MEASUREMENT_TOLERANCE) * t_rad:
         raise InconsistencyError(
             f"measured T1 = {t1:.3g} s exceeds radiative lifetime {t_rad:.3g} s "
-            f"by more than {LIFETIME_TOLERANCE - 1:.0%}"
+            f"by more than {MEASUREMENT_TOLERANCE:.0%}"
         )
     return min(t1 / t_rad, 1.0)
 

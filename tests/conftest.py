@@ -25,7 +25,6 @@ def material():
         wavelength=880e-9,
         t1_fluorescence=90e-6,
         g_ground=2.36,
-        g_excited=0.9,
     )
 
 

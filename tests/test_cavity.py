@@ -296,7 +296,7 @@ class TestDeviceInvariants:
         assert ord_(device.total_decay) == pytest.approx(90e9, rel=1e-12)
 
     def test_kappa_beyond_tolerance_rejected(self, material):
-        with pytest.raises(InconsistencyError):
+        with pytest.raises(InconsistencyError, match=r"\(> 5%\)"):
             CavityDevice(
                 q_factor=3900.0,
                 mode_volume=0.056e-18,

@@ -185,6 +185,15 @@ class TestExitCodes:
         assert main(["cavity", "--q-scale", "1e308"]) == 4
         assert "(flags off their defaults: --q-scale=1e+308)" in capsys.readouterr().err
 
+    def test_numpy_overflow_exits_4_with_one_line(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may precede the message
+            assert main(["ramsey", "--delay-max-us", "1e300"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
+        assert err.endswith("(flags off their defaults: --delay-max-us=1e+300)\n")
+
 
 class TestGolden:
     def test_all_rows_within_tolerance(self, capsys):

@@ -22,7 +22,6 @@ from rexsim.dynamics import (
     simulate_echo_decay,
     simulate_ramsey,
     single_ion_threshold,
-    steady_state,
 )
 from rexsim.cavity import g0_from_rabi
 from rexsim.errors import FitError, InconsistencyError, ValidationError
@@ -59,13 +58,6 @@ class TestBlochClosedForms:
         assert state.u == pytest.approx(-omega * delta * t2**2 / den, rel=1e-6, abs=1e-12)
         assert state.v == pytest.approx(-omega * t2 / den, rel=1e-6, abs=1e-12)
         assert state.w == pytest.approx(-(1 + (delta * t2) ** 2) / den, rel=1e-6)
-
-    def test_steady_state_helper_matches_oracle(self):
-        omega, delta, t1, t2 = ang(3e6), ang(1e6), 5e-6, 8e-6
-        p = TwoLevelParams(rabi=omega, detuning=delta, t1=t1, t2=t2)
-        ss = steady_state(p)
-        den = 1 + (delta * t2) ** 2 + omega**2 * t1 * t2
-        assert ss.w == pytest.approx(-(1 + (delta * t2) ** 2) / den, rel=1e-12)
 
     def test_ideal_pi_pulse_inverts(self):
         omega = ang(50e6)
@@ -342,6 +334,13 @@ class TestEchoDecay:
         trace = simulate_echo_decay(t12, t2=25.4e-6, envelope=envelope)
         fit = fit_t2_from_echo(trace, t_min=4e-6)
         assert fit.value == pytest.approx(25.4e-6, rel=0.05)
+
+    def test_envelope_on_a_shifted_grid_is_rejected(self):
+        # 9 ns off a 50 ns grid lies within np.allclose's default atol of 1e-8
+        t12 = np.linspace(0.05e-6, 30e-6, 600)
+        envelope = eseem_envelope(741.5e3, 789.5e3, 0.2, t12 + 9e-9)
+        with pytest.raises(ValidationError, match="same t12 grid"):
+            simulate_echo_decay(t12, t2=25.4e-6, envelope=envelope)
 
     def test_early_window_flags_larger_residuals(self):
         """ESEEM that damps away leaves a clean tail; fitting the head is flagged."""
