@@ -345,6 +345,9 @@ def cmd_g2(args, doc: ConfigDocument) -> RunReport:
             )
         except RexsimError as exc:
             report.notes.append(f"note: no bunching fit ({exc})")
+        lag = photonstats.shelving_lag_analytic(
+            scheme.p_excite, scheme.p_shelve, scheme.shelf_recovery, period)
+        report.add("bunching_lag_analytic", lag * 1e6, "us")
     return report
 
 

@@ -12,8 +12,9 @@ Pulse sequences are piecewise constant, so each segment is propagated with
 the exact matrix exponential of the affine system (machine precision and
 strictly contractive, which keeps the Bloch vector inside the unit ball);
 a pulse, a nutation scan or a sequence takes one batched exponential. An
-adaptive Runge-Kutta path is kept for cross-validation. scipy is imported
-where it is called, so importing this module loads numpy only.
+adaptive Runge-Kutta path is kept for cross-validation; it is the only code
+here that imports scipy, where it is called. Everything else, the damped
+fringe fit included, runs on numpy alone.
 """
 
 import math
@@ -106,15 +107,43 @@ def _generators(rabi, detuning, phase, t1: float, t2: float) -> np.ndarray:
     return gen
 
 
+# Higham (2005), SIAM J. Matrix Anal. Appl. 26:1179: the [13/13] Pade
+# coefficients over b0, so that exp(0) is exactly the identity, and the
+# largest 1-norm at which that approximant is accurate to double precision.
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1,
+]) / 64764752532480000
+_THETA13 = 5.371920351148152
+
+
 def _propagators(gens: np.ndarray, durations) -> np.ndarray:
     """exp(G t) for each stacked generator: the module's one matrix exponential.
 
-    scipy's expm runs the same Pade code on every slice, so a batch has the
-    bits of one call per generator.
+    Scaling and squaring of the Pade-13 approximant, each slice by its own
+    power of two, so a batch has the bits of one call per generator.
     """
-    from scipy.linalg import expm
-
-    return expm(gens * np.asarray(durations, dtype=float)[..., None, None])
+    a = gens * np.asarray(durations, dtype=float)[..., None, None]
+    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    if not np.all(norm < 2.0**52):
+        raise ValidationError(
+            f"propagator argument too large (1-norm {np.max(norm):.3g} of G t, limit 2^52):"
+            " its phase has no significant bits left")
+    mantissa, exponent = np.frexp(norm / _THETA13)
+    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
+    a = a / np.ldexp(1.0, squarings)[..., None, None]
+    b, eye = _PADE13, np.eye(4)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+             + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(squarings.max(initial=0))):
+        r = np.where((squarings > k)[..., None, None], r @ r, r)
+    return r
 
 
 def bloch_evolve(
@@ -156,9 +185,11 @@ def evolve_sequence(
     """Apply each segment of a pulse sequence in order."""
     p = TwoLevelParams(t1=t1, t2=t2)
     drive = np.array([(s.rabi, s.detuning, s.phase, s.duration) for s in sequence.segments])
+    vec = np.append(state.as_array(), 1.0)
     for prop in _propagators(_generators(*drive[:, :3].T, p.t1, p.t2), drive[:, 3]):
-        state = BlochState(*(prop @ np.append(state.as_array(), 1.0))[:3])
-    return state
+        vec = prop @ vec
+        vec[3] = 1.0  # as bloch_evolve's fresh (u, v, w, 1), for its bits
+    return BlochState(*vec[:3])
 
 
 def rabi_nutation_scan(
@@ -248,6 +279,15 @@ def simulate_ramsey(
     )
 
 
+# The fringe fit's Levenberg-Marquardt stops once a step would move f and tau
+# by less than _FRINGE_XTOL of their values. Its damping never drops below
+# _FRINGE_MIN_DAMPING, so the rejections that end a run stay few. Noisy
+# detuned fringes can wander a flat valley for a few hundred steps.
+_FRINGE_XTOL = 1e-9
+_FRINGE_MIN_DAMPING = 1e-9
+_FRINGE_MAX_STEPS = 1000
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Point estimate with standard error and residual diagnostics."""
@@ -298,41 +338,71 @@ def extract_t2star(trace: TimeTrace) -> FitResult:
 
 
 def _fit_damped_fringe(t: np.ndarray, signal: np.ndarray) -> FitResult:
-    """Nonlinear least squares of A cos(2 pi f t + phi) exp(-t/tau) + c.
+    """Least squares of exp(-t/tau) (a cos 2 pi f t + b sin 2 pi f t) + c.
 
     The free offset c absorbs the residual baseline error left by the mean
     subtraction (the fringe does not average to exactly zero over a finite
     window), which matters downstream when the envelope is divided out.
+
+    Variable projection (Golub & Pereyra 1973, SIAM J. Numer. Anal. 10:413):
+    a, b and c are linear, so for each trial (f, tau) they come from one
+    linear least squares, and Levenberg-Marquardt moves (f, tau) alone along
+    Kaufman's projected Jacobian. The stderr of tau comes from the full
+    five-parameter Jacobian with s^2 = SSR / (n - 5).
     """
-    from scipy.optimize import curve_fit
+    omega = 2.0 * math.pi * t
 
-    f0 = dominant_beat(t, signal)
+    def project(f, tau):
+        """Basis, linear coefficients, residuals and the (f, tau) model slopes."""
+        envelope = np.exp(-t / tau)
+        cos, sin = np.cos(omega * f) * envelope, np.sin(omega * f) * envelope
+        basis = np.column_stack([cos, sin, np.ones_like(t)])
+        a, b, c = np.linalg.lstsq(basis, signal, rcond=None)[0]
+        slopes = np.column_stack([omega * (b * cos - a * sin), t / tau**2 * (a * cos + b * sin)])
+        return basis, slopes, signal - basis @ (a, b, c), (a, b, c)
 
-    def model(tt, amplitude, frequency, phase, tau, offset):
-        return (
-            amplitude * np.cos(2.0 * math.pi * frequency * tt + phase) * np.exp(-tt / tau)
-            + offset
-        )
-
-    p0 = (float(np.max(np.abs(signal))), f0, 0.0, float(t[-1] - t[0]) / 3.0, 0.0)
+    theta = np.array([dominant_beat(t, signal), float(t[-1] - t[0]) / 3.0])
+    basis, slopes, residuals, coef = project(*theta)
+    damping = 1e-3
     try:
-        popt, pcov = curve_fit(model, t, signal, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"fringe fit did not converge: {exc}") from None
-    tau = popt[3]
-    if not np.isfinite(tau) or tau <= 0.0:
+        for _ in range(_FRINGE_MAX_STEPS):
+            jac = slopes - basis @ np.linalg.lstsq(basis, slopes, rcond=None)[0]
+            jtj = jac.T @ jac
+            step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)), jac.T @ residuals)
+            if np.all(np.abs(step) <= _FRINGE_XTOL * np.abs(theta)):
+                break
+            trial = theta + step
+            if trial[1] > 0.0:
+                fitted = project(*trial)
+                if fitted[2] @ fitted[2] < residuals @ residuals:
+                    theta, (basis, slopes, residuals, coef) = trial, fitted
+                    damping = max(0.1 * damping, _FRINGE_MIN_DAMPING)
+                    continue
+            damping *= 10.0
+        else:
+            raise FitError(f"fringe fit did not converge in {_FRINGE_MAX_STEPS} steps")
+        jac = np.column_stack([slopes, basis])
+        scale = np.linalg.norm(jac, axis=0)
+        cov = np.linalg.inv((jac / scale).T @ (jac / scale)) / np.outer(scale, scale)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"fringe fit is degenerate: {exc}") from None
+    # trials with tau <= 0 are rejected, so a growing envelope drives tau up
+    # until the fit degenerates or tau leaves the floats
+    frequency, tau = theta
+    if not math.isfinite(tau):
         raise FitError("envelope does not decay; cannot extract T2*")
-    residuals = signal - model(t, *popt)
+    a, b, c = coef
+    ssr = float(residuals @ residuals)
     return FitResult(
         value=float(tau),
-        stderr=float(np.sqrt(pcov[3, 3])),
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
+        stderr=math.sqrt(cov[1, 1] * ssr / (t.size - 5)),
+        residual_rms=math.sqrt(ssr / t.size),
         n_points=int(t.size),
         extras={
-            "amplitude": float(abs(popt[0])),
-            "fringe_frequency_hz": float(abs(popt[1])),
-            "phase_rad": float(popt[2]),
-            "offset": float(popt[4]),
+            "amplitude": math.hypot(a, b),
+            "fringe_frequency_hz": float(abs(frequency)),
+            "phase_rad": math.atan2(-b, a),
+            "offset": float(c),
         },
     )
 

@@ -278,6 +278,27 @@ def bunching_lag_constant(trace: TimeTrace) -> float:
     return -1.0 / slope
 
 
+def shelving_lag_analytic(
+    p_excite: float, p_shelve: float, shelf_recovery: float, period: float
+) -> float:
+    """Decay lag of g2 - 1 for the shelving emitter, in seconds.
+
+    Pulse to pulse the ion is a two-state (active/shelved) Markov chain. An
+    active ion goes dark with p = p_excite p_shelve and a dark ion stays dark
+    with exp(-R T), so the chain's second eigenvalue is
+    lambda = (1 - p) exp(-R T) and g2 - 1 decays as lambda^k, that is with
+    the lag -T / ln lambda = T / (R T - ln(1 - p)).
+    """
+    if not (0.0 <= p_excite <= 1.0 and 0.0 <= p_shelve <= 1.0):
+        raise ValidationError("p_excite and p_shelve must lie in [0, 1]")
+    if not (shelf_recovery > 0.0 and period > 0.0):
+        raise ValidationError("shelf recovery rate and pulse period must be positive")
+    p = p_excite * p_shelve
+    if p == 1.0:
+        return 0.0  # lambda = 0: the chain forgets its state in one pulse
+    return period / (shelf_recovery * period - math.log1p(-p))
+
+
 def _chunked_indices(total: int) -> list[tuple[int, int, int]]:
     """(chunk_id, start, stop) partition with fixed chunk size."""
     return [

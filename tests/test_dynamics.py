@@ -5,6 +5,8 @@ import pytest
 
 from rexsim.dynamics import (
     GROUND,
+    _generators,
+    _propagators,
     BlochState,
     FitResult,
     PulseSegment,
@@ -219,6 +221,68 @@ class TestBatchedPropagation:
                 p = TwoLevelParams(rabi=seg.rabi, detuning=seg.detuning, t1=t1, t2=t2)
                 state = bloch_evolve(state, p, seg.duration, phase=seg.phase)
             assert evolve_sequence(GROUND, PulseSequence(tuple(segments)), t1, t2) == state
+
+
+def rotation(a: np.ndarray) -> np.ndarray:
+    """Rodrigues' closed form of exp(a) for an undamped generator block a = G t.
+
+    The block is the cross product with omega t = (-a[1, 2], a[0, 2], -a[0, 1]).
+    """
+    axis = np.array([-a[1, 2], a[0, 2], -a[0, 1]])
+    angle = np.linalg.norm(axis)
+    if angle == 0.0:
+        return np.eye(3)
+    k = np.cross(np.eye(3), axis / angle)  # rows e_i x n, so k @ r = n x r
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+class TestPropagatorAccuracy:
+    """The matrix exponential against closed forms, and at its edges."""
+
+    @pytest.mark.parametrize("detuning", [0.0, ang(1.3e6)], ids=["resonant", "detuned"])
+    def test_undamped_scan_is_the_rabi_formula(self, detuning):
+        g0, pulse = ang(28.5e6), 250e-9  # the rexsim rabi defaults
+        nbar = np.linspace(0.0, 0.2, 400)
+        scan = rabi_nutation_scan(g0, nbar, pulse, math.inf, math.inf, detuning)
+        rabi = 2.0 * g0 * np.sqrt(nbar)
+        w = np.hypot(rabi, detuning)
+        expected = np.divide(rabi**2, w**2, out=np.zeros_like(w), where=w > 0.0)
+        expected *= np.sin(w * pulse / 2.0) ** 2
+        assert np.max(np.abs(scan.y - expected)) < 1e-12
+
+    def test_undamped_sequences_are_composed_rotations(self):
+        """Criterion 14's segment distribution, without damping."""
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            segments = tuple(
+                PulseSegment(
+                    duration=rng.uniform(1e-9, 2e-6),
+                    rabi=rng.uniform(0, ang(100e6)) if rng.random() < 0.75 else 0.0,
+                    phase=rng.uniform(0, 2 * math.pi),
+                    detuning=rng.uniform(-ang(10e6), ang(10e6)),
+                )
+                for _ in range(4)
+            )
+            expected = GROUND.as_array()
+            for seg in segments:
+                gen = _generators(seg.rabi, seg.detuning, seg.phase, math.inf, math.inf)
+                expected = rotation(gen[:3, :3] * seg.duration) @ expected
+            state = evolve_sequence(GROUND, PulseSequence(segments), math.inf, math.inf)
+            assert np.max(np.abs(state.as_array() - expected)) < 1e-12
+
+    def test_zero_duration_inside_a_batch_is_the_identity(self):
+        gens = _generators(np.array([ang(40e6), ang(60e6), ang(5e6)]), ang(2e6), 0.3, 3e-6, 5e-6)
+        props = _propagators(gens, np.array([120e-9, 0.0, 2e-6]))
+        assert np.array_equal(props[1], np.eye(4))
+
+    def test_phase_guard(self):
+        """A 1-norm of G t at 2^52 leaves the phase no significant bits."""
+        p = TwoLevelParams(rabi=1.0)  # ||G t||_1 = t
+        assert np.all(np.isfinite(bloch_evolve(GROUND, p, 2.0**52 - 1.0).as_array()))
+        with pytest.raises(ValidationError, match="2\\^52"):
+            bloch_evolve(GROUND, p, 2.0**52)
+        with pytest.raises(ValidationError):
+            rabi_nutation_scan(ang(28.5e6), [0.1], 1e300, 2.1e-6, 4e-6)
 
 
 DRIVEN = TwoLevelParams(rabi=1e7, t1=1e-6, t2=1e-6)

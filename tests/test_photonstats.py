@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rexsim.photonstats import (
     g2_estimator,
     g2_zero_analytic,
     sfs_generate,
+    shelving_lag_analytic,
     simulate_emitter_stream,
 )
 
@@ -173,6 +175,33 @@ class TestBunching:
         lam = 1.0 - scheme.p_excite * scheme.p_shelve * (1.0 - q) - q
         expected = -period / math.log(lam)
         assert expected / 1.5 <= bunching_lag_constant(trace) <= 1.5 * expected
+
+    @pytest.mark.parametrize("p_shelve", [0.1, 0.4], ids=["default", "high-shelve"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fitted_lag_within_factor_of_analytic(self, p_shelve, seed):
+        """The benchmark's bound: on a record as long as `rexsim g2` draws, the
+        fit lies within a factor 1.5 of the chain."""
+        doc = default_document()
+        scheme = replace(doc.emitter_scheme(), p_shelve=p_shelve)
+        period = doc.pulse_period()
+        record = simulate_emitter_stream(scheme, doc.background(), 5_000_000, period, seed)
+        trace = g2_estimator(record, max_lag=100, min_norm_coincidences=0.0)
+        lag = bunching_lag_constant(trace)
+        expected = shelving_lag_analytic(
+            scheme.p_excite, scheme.p_shelve, scheme.shelf_recovery, period)
+        assert expected / 1.5 <= lag <= 1.5 * expected
+
+    def test_analytic_lag_limits(self):
+        # never shelving: the lag is the recovery time 1/R
+        assert shelving_lag_analytic(0.0, 0.5, 1400.0, 40e-6) == pytest.approx(1 / 1400.0)
+        # every pulse shelves an active ion: lambda = 0, no memory past one pulse
+        assert shelving_lag_analytic(1.0, 1.0, 1400.0, 40e-6) == 0.0
+        q = -math.expm1(-1400.0 * 40e-6)
+        lam = 1.0 - 0.55 * 0.1 * (1.0 - q) - q
+        assert shelving_lag_analytic(0.55, 0.1, 1400.0, 40e-6) == pytest.approx(
+            -40e-6 / math.log(lam), rel=1e-12)
+        with pytest.raises(ValidationError):
+            shelving_lag_analytic(0.5, 0.1, 1400.0, 0.0)
 
 
 class TestSfs:

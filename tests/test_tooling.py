@@ -35,13 +35,12 @@ def test_config_and_photonstats_import_no_scipy():
 
 
 def test_cli_and_golden_load_no_scipy():
-    """The CLI and ten subcommands stay numpy-only; scipy loads only in rabi and ramsey."""
-    numpy_only = [name for name in HANDLERS if name not in ("rabi", "ramsey")]
-    assert len(numpy_only) == 10
+    """The CLI and all 12 subcommands at their default flags run on numpy alone."""
+    assert len(HANDLERS) == 12
     proc = run_python(
         "-c",
         "import sys, rexsim.cli\n"
-        f"for name in {numpy_only!r}:\n"
+        f"for name in {list(HANDLERS)!r}:\n"
         "    assert rexsim.cli.main([name]) == 0, name\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     )
