@@ -130,6 +130,8 @@ def _propagators(gens: np.ndarray, durations) -> np.ndarray:
         raise ValidationError(
             f"propagator argument too large (1-norm {np.max(norm):.3g} of G t, limit 2^52):"
             " its phase has no significant bits left")
+    # the least s with norm / 2^s <= theta13; frexp, since log2 of a
+    # zero-duration slice's norm would divide by zero
     mantissa, exponent = np.frexp(norm / _THETA13)
     squarings = np.maximum(exponent - (mantissa == 0.5), 0)
     a = a / np.ldexp(1.0, squarings)[..., None, None]
