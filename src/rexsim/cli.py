@@ -324,9 +324,7 @@ def cmd_g2(args, doc: ConfigDocument) -> RunReport:
     background = doc.background()
     period = doc.pulse_period()
     seed = args.seed if args.seed is not None else doc.seed()
-    record = photonstats.simulate_emitter_stream(
-        scheme, background, args.pulses, period, seed, workers=args.workers
-    )
+    record = photonstats.simulate_emitter_stream(scheme, background, args.pulses, period, seed)
     trace = photonstats.g2_estimator(record, args.max_lag)
     signal = scheme.p_excite * scheme.p_detect
     rho = signal / (signal + background.mean_per_pulse)
@@ -361,7 +359,6 @@ def cmd_sfs(args, doc: ConfigDocument) -> RunReport:
         detuning_max=args.delta_max_ghz,
         bin_width=args.bin_mhz / 1e3,
         seed=seed,
-        workers=args.workers,
     )
     # single-realization fit restricted to well-populated bins; the tail is
     # shot-noise dominated and would bias a log-log regression
@@ -497,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     writes.add_argument("--out", help="CSV output path")
     monte_carlo = argparse.ArgumentParser(add_help=False, parents=[writes])
     monte_carlo.add_argument("--seed", type=int, help="override the master random seed")
-    monte_carlo.add_argument("--workers", type=_count, default=1)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sub.add_parser("spectro", parents=[common], help="transition parameter derivation chain")
@@ -543,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("histogram", parents=[monte_carlo], help="ion-cavity coupling histogram")
     p.add_argument("--samples", type=_count, default=200_000)
     p.add_argument("--bins", type=_count, default=25)
+    p.add_argument("--workers", type=_count, default=1)
 
     p = sub.add_parser("spinbath", parents=[writes], help="superhyperfine splitting table")
     p.add_argument("--points", type=_count, default=100)

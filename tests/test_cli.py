@@ -162,7 +162,7 @@ class TestExitCodes:
         ["histogram", "--bins", "10000000000000000000"],
         ["g2", "--pulses", "10000000000000000000"],
         ["g2", "--pulses", "5000000000000000000"],
-        ["sfs", "--workers", str(2**59)],
+        ["histogram", "--workers", str(2**59)],
     ], ids=" ".join)
     def test_count_out_of_range_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -323,36 +323,12 @@ class TestCsvContract:
 
 
 class TestWorkerDeterminism:
-    @pytest.mark.parametrize("subcommand, flags", [
-        ("sfs", ["--bin-mhz", "25"]),
-        ("histogram", ["--samples", "150000"]),
-    ])
-    def test_payload_independent_of_workers(self, tmp_path, subcommand, flags):
+    def test_histogram_payload_independent_of_workers(self, tmp_path):
         payloads = []
         for workers in ("1", "4"):
-            out = tmp_path / f"{subcommand}_{workers}.csv"
-            code = main([subcommand, *flags, "--seed", "3", "--workers", workers,
-                         "--out", str(out)])
-            assert code == 0
-            payloads.append(strip_timestamp(out.read_text(encoding="utf-8")))
-        assert payloads[0] == payloads[1]
-
-    def test_g2_payload_independent_of_workers(self, tmp_path):
-        """The pulse stream is generated from counter-based streams, so the
-        worker count cannot influence it; verified end to end."""
-        payloads = []
-        config = tmp_path / "fast.ini"
-        config.write_text(
-            "[simulation]\np_detect = 0.5\nbackground_per_pulse = 0.02\n",
-            encoding="utf-8",
-        )
-        for workers in ("1", "4"):
-            out = tmp_path / f"g2_{workers}.csv"
-            code = main([
-                "g2", "--config", str(config), "--pulses", "400000",
-                "--max-lag", "40", "--seed", "3", "--workers", workers,
-                "--out", str(out),
-            ])
+            out = tmp_path / f"histogram_{workers}.csv"
+            code = main(["histogram", "--samples", "150000", "--seed", "3",
+                         "--workers", workers, "--out", str(out)])
             assert code == 0
             payloads.append(strip_timestamp(out.read_text(encoding="utf-8")))
         assert payloads[0] == payloads[1]

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -243,11 +244,6 @@ class TestSfs:
         trace = sfs_generate(1.13e4, 2.9, 5.0, 35.0, 0.1, seed=34)
         assert np.allclose(trace.extra["shot_noise"], np.sqrt(trace.extra["expected"]))
 
-    def test_worker_invariance(self):
-        serial = sfs_generate(1.13e4, 2.9, 5.0, 35.0, 0.01, seed=35, workers=1)
-        parallel = sfs_generate(1.13e4, 2.9, 5.0, 35.0, 0.01, seed=35, workers=4)
-        assert np.array_equal(serial.y, parallel.y)
-
 
 class TestCouplingHistogram:
     def test_uniform_placement_shape(self):
@@ -268,6 +264,29 @@ class TestCouplingHistogram:
         parallel = coupling_histogram(150_000, seed=45, workers=3)
         assert np.array_equal(serial.y, parallel.y)
         assert np.array_equal(serial.extra["count"], parallel.extra["count"])
+
+    def test_threads_bounded_by_cpu_count(self, monkeypatch):
+        """A huge worker count must not start a thread per chunk."""
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(photonstats, "ThreadPoolExecutor", SerialPool)
+        bounded = coupling_histogram(200_000, seed=46, workers=10**6)
+        serial = coupling_histogram(200_000, seed=46, workers=1)
+        assert requested[0] <= (os.cpu_count() or 1)
+        assert np.array_equal(bounded.extra["count"], serial.extra["count"])
 
     def test_sample_floor(self):
         with pytest.raises(ValidationError):
@@ -382,11 +401,10 @@ class TestChunkedDraws:
 
     @pytest.mark.parametrize("stream_id", [0, 1, 2, 3])
     def test_chunks_join_into_the_single_draw(self, stream_id):
-        """Guards the Philox block layout (four doubles per block) behind advance()."""
+        """Consecutive CHUNK-sized draws continue one Philox stream."""
         expected = single_draw_below(77, stream_id, 0.3, self.N)
-        for workers in (1, 2, 3):
-            drawn = photonstats._uniform_below(77, stream_id, 0.3, self.N, workers)
-            assert np.array_equal(drawn, expected)
+        drawn = photonstats._uniform_below(77, stream_id, 0.3, self.N)
+        assert np.array_equal(drawn, expected)
 
     @pytest.mark.parametrize("p_shelve, background", [(0.0, 0.0), (0.1, 0.0), (0.1, 0.05)])
     def test_stream_matches_single_draw_reference(self, p_shelve, background):
@@ -395,10 +413,9 @@ class TestChunkedDraws:
         )
         bg = BackgroundModel(mean_per_pulse=background)
         expected = reference_stream(scheme, bg, self.N, PERIOD, 12345)
-        for workers in (1, 2, 3):
-            record = simulate_emitter_stream(scheme, bg, self.N, PERIOD, 12345, workers=workers)
-            assert record.counts.dtype == np.int64
-            assert np.array_equal(record.counts, expected)
+        record = simulate_emitter_stream(scheme, bg, self.N, PERIOD, 12345)
+        assert record.counts.dtype == np.int64
+        assert np.array_equal(record.counts, expected)
 
 
 class TestSparseCoincidences:

@@ -55,7 +55,7 @@ def test_demo_runs(demo):
 
 
 def test_cli_surface():
-    """--out only where a CSV is written, --seed and --workers only on Monte Carlo."""
+    """--out only where a CSV is written, --seed only on Monte Carlo, --workers on histogram."""
     parser = build_parser()
 
     def accepts(subcommand, *flag):
@@ -65,7 +65,7 @@ def test_cli_surface():
     monte_carlo = {"g2", "sfs", "histogram"}
     assert {s for s in HANDLERS if accepts(s, "--out", "x.csv")} == writers
     assert {s for s in HANDLERS if accepts(s, "--seed", "5")} == monte_carlo
-    assert {s for s in HANDLERS if accepts(s, "--workers", "2")} == monte_carlo
+    assert {s for s in HANDLERS if accepts(s, "--workers", "2")} == {"histogram"}
     assert all(accepts(s, "--config", "x.ini") for s in HANDLERS)
 
 
@@ -74,6 +74,8 @@ def test_cli_surface():
     ["cavity", "--out", "x.csv"],
     ["golden", "--out", "y.csv"],
     ["golden", "--q-scale", "5"],
+    ["g2", "--workers", "2"],
+    ["sfs", "--workers", "2"],
 ])
 def test_cli_rejects_flags_it_would_ignore(argv, capsys):
     with pytest.raises(SystemExit) as exc:
