@@ -46,7 +46,7 @@ print(f"maximum Purcell factor:               F  = {f_max:.0f}")
 print(f"cross-check 4 g0^2 T_rad / kappa:     F  = "
       f"{4*g0_max**2*tr.radiative_lifetime/(device.resonance/3900):.0f} (same physics, two routes)\n")
 
-t_cav = cavity_lifetime(g0_max, device.total_decay, tr.branching_ratio, 90e-6)
+t_cav = cavity_lifetime(g0_max, device.kappa, tr.branching_ratio, 90e-6)
 print(f"predicted on-resonance lifetime: T_cav = {t_cav*1e6:.2f} us (bulk: 90 us)")
 f_meas = measured_purcell(2.1e-6, 90e-6, tr.branching_ratio, tr.radiative_lifetime)
 print(f"measured T_cav = 2.1 us implies   F    = {f_meas:.0f}")
@@ -54,7 +54,7 @@ print("(the shortfall against the maximum reflects the ion sitting away from")
 print(" the antinode and fabrication deviations from the simulated volume)\n")
 
 g0_meas = ang(28.5e6)
-c = cooperativity(g0_meas, device.total_decay, 25.4e-6)
+c = cooperativity(g0_meas, device.kappa, 25.4e-6)
 print(f"with the fitted g0 = 2pi x 28.5 MHz and T2 = 25.4 us: C = {c:.2f}")
 print(f"single-ion indistinguishability T2*/(2 T1) = {indistinguishability(4.0e-6, 2.1e-6):.3f}\n")
 
@@ -65,16 +65,16 @@ chain = DetectionChain(stages=(
     ("cavity_out", 0.45), ("waveguide_fiber", 0.19), ("fiber_path", 0.80),
     ("circulator", 0.65), ("detector", 0.82),
 ))
-budget = detection_budget(chain)
+rows, total = detection_budget(chain)
 print("photon detection budget:")
-for name, eff, cum in budget.rows:
+for name, eff, cum in rows:
     print(f"  {name:<16} {eff:5.2f}  -> cumulative {cum:.4f}")
-print(f"  overall: {budget.total:.1%}\n")
+print(f"  overall: {total:.1%}\n")
 
 coherence = CoherenceSummary(t1=90e-6, t2=25.4e-6, pure_dephasing=9.7e3)
-proj_c = project_q_scaling(device, coherence, g0_meas, tr.branching_ratio, 90e-6, 10.0)
-proj_i = project_q_scaling(device, coherence, g0_max, tr.branching_ratio, 90e-6, 10.0)
+_, c_10, _ = project_q_scaling(device, coherence, g0_meas, tr.branching_ratio, 90e-6, 10.0)
+t_cav_10, _, i_10 = project_q_scaling(device, coherence, g0_max, tr.branching_ratio, 90e-6, 10.0)
 print("a 10x higher-Q cavity (already demonstrated elsewhere) would reach:")
-print(f"  C = {proj_c.cooperativity:.0f} (measured-coupling route)")
-print(f"  I = {proj_i.indistinguishability:.3f} with T_cav = {proj_i.t_cav*1e9:.0f} ns "
+print(f"  C = {c_10:.0f} (measured-coupling route)")
+print(f"  I = {i_10:.3f} with T_cav = {t_cav_10*1e9:.0f} ns "
       "(antinode-coupling route)")

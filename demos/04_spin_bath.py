@@ -6,10 +6,10 @@
 import numpy as np
 
 from rexsim.spinbath import (
-    ElectronicMoment,
     FlipFlopParams,
     SpinBathSite,
     dipolar_field,
+    electronic_moment,
     eseem_envelope,
     flipflop_added_dephasing,
     flipflop_gamma_sd,
@@ -19,8 +19,8 @@ from rexsim.spinbath import (
     superhyperfine_splitting,
 )
 
-ground = ElectronicMoment("ground", 2.36)
-excited = ElectronicMoment("excited", 0.9)
+ground = electronic_moment(2.36)
+excited = electronic_moment(0.9)
 y_site = SpinBathSite("Y", 0.5, 2.1e6, 3.9e-10)
 v_site = SpinBathSite("V", 3.5, 11.2e6, 3.14e-10)
 
@@ -38,9 +38,9 @@ print("(at high field both approach the bare nuclear Zeeman value, "
       f"{y_site.gyromagnetic_ratio*0.39/1e3:.0f} kHz at 390 mT)\n")
 
 print("== Nearest vanadium (I = 7/2, 11.2 MHz/T, 3.14 A) ==")
-sub = sublevel_count_and_range(v_site, ground, 0.39)
-print(f"{sub.count} sublevels; pairwise splittings span "
-      f"{sub.min_splitting/1e6:.1f} to {sub.max_splitting/1e6:.1f} MHz -")
+count, smallest, largest = sublevel_count_and_range(v_site, ground, 0.39)
+print(f"{count} sublevels; pairwise splittings span "
+      f"{smallest/1e6:.1f} to {largest/1e6:.1f} MHz -")
 print("well outside the 2 MHz excitation bandwidth, so only the yttrium")
 print("beats appear in the interference data.\n")
 

@@ -28,15 +28,16 @@ def kappa_from_q(omega0: AngularRate, q_factor: float) -> AngularRate:
 class CavityDevice:
     """Nanophotonic resonator record.
 
-    kappa, when supplied, wins over the value derived from Q (measured decay
-    rates are rounded independently of Q).
+    kappa is the measured total decay rate, the one every figure of merit
+    uses; it must agree with omega0/Q within the measurement tolerance
+    (measured decay rates are rounded independently of Q).
     """
 
     q_factor: float
     mode_volume: float        # m^3
     resonance: AngularRate    # rad/s
     input_fraction: float     # kappa_in / kappa
-    kappa: AngularRate | None = None
+    kappa: AngularRate        # rad/s
 
     def __post_init__(self):
         if self.q_factor <= 0.0:
@@ -49,26 +50,18 @@ class CavityDevice:
             raise ValidationError(
                 f"input coupling fraction must lie in (0, 1], got {self.input_fraction}"
             )
-        if self.kappa is not None:
-            derived = kappa_from_q(self.resonance, self.q_factor)
-            deviation = abs(self.kappa - derived) / derived
-            if deviation > MEASUREMENT_TOLERANCE:
-                raise InconsistencyError(
-                    f"supplied kappa {self.kappa:.4g} rad/s disagrees with omega0/Q = "
-                    f"{derived:.4g} rad/s by {deviation:.1%} (> {MEASUREMENT_TOLERANCE:.0%})"
-                )
-
-    @property
-    def total_decay(self) -> AngularRate:
-        """kappa in rad/s: the supplied value if present, else omega0/Q."""
-        if self.kappa is not None:
-            return self.kappa
-        return kappa_from_q(self.resonance, self.q_factor)
+        derived = kappa_from_q(self.resonance, self.q_factor)
+        deviation = abs(self.kappa - derived) / derived
+        if deviation > MEASUREMENT_TOLERANCE:
+            raise InconsistencyError(
+                f"supplied kappa {self.kappa:.4g} rad/s disagrees with omega0/Q = "
+                f"{derived:.4g} rad/s by {deviation:.1%} (> {MEASUREMENT_TOLERANCE:.0%})"
+            )
 
     @property
     def input_rate(self) -> AngularRate:
         """kappa_in in rad/s."""
-        return self.input_fraction * self.total_decay
+        return self.input_fraction * self.kappa
 
 
 @dataclass(frozen=True)
@@ -81,13 +74,13 @@ class CoherenceSummary:
 
     t1: float
     t2: float
-    pure_dephasing: float | None = None
+    pure_dephasing: float
 
     def __post_init__(self):
         if self.t1 <= 0.0 or self.t2 <= 0.0:
             raise ValidationError("T1 and T2 must be positive")
         check_radiative_limit(self.t1, self.t2)
-        if self.pure_dephasing is not None and self.pure_dephasing > self.homogeneous_linewidth:
+        if self.pure_dephasing > self.homogeneous_linewidth:
             raise InconsistencyError(
                 f"pure dephasing {self.pure_dephasing:.3g} Hz exceeds the homogeneous "
                 f"linewidth 1/(pi T2) = {self.homogeneous_linewidth:.3g} Hz"
@@ -109,14 +102,6 @@ class DetectionChain:
         for name, eff in self.stages:
             if not 0.0 < eff <= 1.0:
                 raise ValidationError(f"stage '{name}' efficiency {eff} outside (0, 1]")
-
-
-@dataclass(frozen=True)
-class BudgetReport:
-    """Per-stage efficiency breakdown with running product."""
-
-    rows: tuple[tuple[str, float, float], ...]  # (name, efficiency, cumulative)
-    total: float
 
 
 def max_purcell(
@@ -234,24 +219,18 @@ def indistinguishability(t2: float, t1: float) -> float:
     return min(t2 / (2.0 * t1), 1.0)
 
 
-def detection_budget(chain: DetectionChain) -> BudgetReport:
-    """Multiply the stage efficiencies; report each stage and the running product."""
+def detection_budget(chain: DetectionChain) -> tuple[list[tuple[str, float, float]], float]:
+    """Multiply the stage efficiencies.
+
+    Returns (rows, total): one (name, efficiency, running product) row per
+    stage, and the overall efficiency, 1.0 for an empty chain.
+    """
     rows = []
     cumulative = 1.0
     for name, eff in chain.stages:
         cumulative *= eff
         rows.append((name, eff, cumulative))
-    return BudgetReport(rows=tuple(rows), total=cumulative)
-
-
-@dataclass(frozen=True)
-class QScalingReport:
-    """Projected performance after scaling the quality factor."""
-
-    kappa: AngularRate
-    t_cav: float
-    cooperativity: float
-    indistinguishability: float
+    return rows, cumulative
 
 
 def project_q_scaling(
@@ -261,8 +240,8 @@ def project_q_scaling(
     beta: float,
     t1_bulk: float,
     factor: float,
-) -> QScalingReport:
-    """Project T_cav, C and I for a cavity with Q scaled by ``factor``.
+) -> tuple[float, float, float]:
+    """Project (T_cav, C, I) for a cavity with Q scaled by ``factor``.
 
     kappa scales as 1/factor; T_cav follows the cavity_lifetime relation;
     C uses the (Q-independent) measured T2; the indistinguishability is
@@ -272,16 +251,9 @@ def project_q_scaling(
     """
     if not factor > 0.0:
         raise ValidationError(f"scaling factor must be positive, got {factor}")
-    if coherence.pure_dephasing is None:
-        raise ValidationError("coherence summary must carry a pure dephasing rate")
-    kappa_scaled = device.total_decay / factor
+    kappa_scaled = device.kappa / factor
     t_cav = cavity_lifetime(g0, kappa_scaled, beta, t1_bulk)
     coop = cooperativity(g0, kappa_scaled, coherence.t2)
     gamma_rad = 1.0 / (2.0 * math.pi * t_cav)
     indist = gamma_rad / (gamma_rad + coherence.pure_dephasing)
-    return QScalingReport(
-        kappa=kappa_scaled,
-        t_cav=t_cav,
-        cooperativity=coop,
-        indistinguishability=indist,
-    )
+    return t_cav, coop, indist

@@ -12,6 +12,7 @@ rows outside tolerance).
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +23,7 @@ from .config import ConfigDocument, changed_keys, default_document, parse_config
 from .csvio import read_trace_csv, write_trace_csv
 from .errors import NumericError, RexsimError, ValidationError
 from .quantities import angular_from_ordinary, ordinary_from_angular
-from .spectroscopy import derive_transition, local_field_correction, zeeman_splitting
+from .spectroscopy import derive_transition, zeeman_splitting
 from .trace import TimeTrace
 
 EXIT_OK = 0
@@ -161,10 +162,9 @@ def cmd_spectro(args, doc: ConfigDocument) -> RunReport:
     material = doc.material()
     model = doc.local_field_model()
     tr = _transition(doc)
-    chi = local_field_correction(material.refractive_index, model)
     b_field = doc.si("field", "b_field_mt")
     report = RunReport(f"transition parameters ({model.value}-cavity local field)")
-    report.add("local_field_correction", chi, "")
+    report.add("local_field_correction", tr.local_field_correction, "")
     report.check("oscillator_strength", tr.oscillator_strength)
     report.check("radiative_lifetime", tr.radiative_lifetime * 1e6, "us")
     report.check("branching_ratio", tr.branching_ratio)
@@ -178,14 +178,14 @@ def cmd_cavity(args, doc: ConfigDocument) -> RunReport:
     material = doc.material()
     tr = _transition(doc)
     device = doc.cavity_device()
-    chi = local_field_correction(material.refractive_index, doc.local_field_model())
-    kappa = device.total_decay
+    kappa = device.kappa
     g0_max = cavity.max_coupling_g0(
         tr.dipole_moment, material.refractive_index, tr.angular_frequency, device.mode_volume
     )
     g0_meas = angular_from_ordinary(doc.si("simulation", "g0_measured_mhz"))
     f_max = cavity.max_purcell(
-        material.wavelength, material.refractive_index, chi, device.q_factor, device.mode_volume
+        material.wavelength, material.refractive_index, tr.local_field_correction,
+        device.q_factor, device.mode_volume,
     )
     kappa_q = cavity.kappa_from_q(device.resonance, device.q_factor)
     t1_bulk = material.t1_fluorescence
@@ -211,31 +211,33 @@ def cmd_cavity(args, doc: ConfigDocument) -> RunReport:
     nbar_per_watt = cavity.mean_photon_number(1.0, device.input_rate, kappa, device.resonance)
     report.check("power_for_one_photon", 1e9 / nbar_per_watt, "nW")
     scale = args.q_scale
-    proj_c = cavity.project_q_scaling(device, coherence, g0_meas, tr.branching_ratio, t1_bulk, scale)
-    proj_i = cavity.project_q_scaling(device, coherence, g0_max, tr.branching_ratio, t1_bulk, scale)
-    report.check(f"cooperativity_qx{scale:g}", proj_c.cooperativity)
-    report.add(f"indistinguishability_qx{scale:g}", proj_i.indistinguishability, "")
-    report.add(f"t_cav_qx{scale:g}", proj_i.t_cav * 1e9, "ns")
+    _, coop_scaled, _ = cavity.project_q_scaling(
+        device, coherence, g0_meas, tr.branching_ratio, t1_bulk, scale)
+    t_cav_scaled, _, indist_scaled = cavity.project_q_scaling(
+        device, coherence, g0_max, tr.branching_ratio, t1_bulk, scale)
+    report.check(f"cooperativity_qx{scale:g}", coop_scaled)
+    report.add(f"indistinguishability_qx{scale:g}", indist_scaled, "")
+    report.add(f"t_cav_qx{scale:g}", t_cav_scaled * 1e9, "ns")
     return report
 
 
 def cmd_budget(args, doc: ConfigDocument) -> RunReport:
-    budget = cavity.detection_budget(doc.detection_chain())
+    rows, total = cavity.detection_budget(doc.detection_chain())
     report = RunReport("photon detection budget", preamble=[
         "stage,efficiency,cumulative",
-        *(f"{name},{eff!r},{cum!r}" for name, eff, cum in budget.rows),
-        f"total,,{budget.total!r}",
+        *(f"{name},{eff!r},{cum!r}" for name, eff, cum in rows),
+        f"total,,{total!r}",
     ])
     report.curve = TimeTrace(
-        x=np.arange(1, len(budget.rows) + 1),
-        y=[cum for _, _, cum in budget.rows],
+        x=np.arange(1, len(rows) + 1),
+        y=[cum for _, _, cum in rows],
         x_name="stage_index",
         x_unit="",
         y_name="cumulative_efficiency",
         y_unit="dimensionless",
-        metadata={name: eff for name, eff, _ in budget.rows},
+        metadata={name: eff for name, eff, _ in rows},
     )
-    report.check("overall_efficiency", budget.total)
+    report.check("overall_efficiency", total)
     return report
 
 
@@ -327,7 +329,7 @@ def cmd_g2(args, doc: ConfigDocument) -> RunReport:
     record = photonstats.simulate_emitter_stream(scheme, background, args.pulses, period, seed)
     trace = photonstats.g2_estimator(record, args.max_lag)
     signal = scheme.p_excite * scheme.p_detect
-    rho = signal / (signal + background.mean_per_pulse)
+    rho = signal / (signal + background)
     report = RunReport("pulsed intensity autocorrelation", curve=trace)
     report.add("mean_counts_per_pulse", float(np.mean(record.counts)), "")
     report.add("g2_zero", float(trace.y[0]), "")
@@ -366,8 +368,8 @@ def cmd_sfs(args, doc: ConfigDocument) -> RunReport:
     fit = dynamics.fit_power_law(trace.x[usable], trace.y[usable])
     report = RunReport("statistical fine structure", curve=trace)
     report.add("bins", float(len(trace)), "")
-    report.add("fitted_exponent", fit.exponent, "")
-    report.add("fitted_exponent_stderr", fit.exponent_stderr, "")
+    report.add("fitted_exponent", fit.value, "")
+    report.add("fitted_exponent_stderr", fit.stderr, "")
     report.check("single_ion_threshold", dynamics.single_ion_threshold(amplitude, exponent), "GHz")
     return report
 
@@ -393,15 +395,15 @@ def cmd_spinbath(args, doc: ConfigDocument) -> RunReport:
     dg0 = spinbath.superhyperfine_splitting(y_site, ground, 0.0)
     de0 = spinbath.superhyperfine_splitting(y_site, excited, 0.0)
     dg, de = _delta_g_delta_e(doc, b_field)
-    sub = spinbath.sublevel_count_and_range(v_site, ground, b_field)
+    count, smallest, largest = spinbath.sublevel_count_and_range(v_site, ground, b_field)
     report = RunReport("superhyperfine structure")
     report.check("y_zero_field_ground", dg0 / 1e3, "kHz")
     report.check("y_zero_field_excited", de0 / 1e3, "kHz")
     report.check("delta_g", dg / 1e3, "kHz")
     report.check("delta_e", de / 1e3, "kHz")
-    report.check("v_sublevels", float(sub.count))
-    report.add("v_min_splitting", sub.min_splitting / 1e6, "MHz")
-    report.add("v_max_splitting", sub.max_splitting / 1e6, "MHz")
+    report.check("v_sublevels", float(count))
+    report.add("v_min_splitting", smallest / 1e6, "MHz")
+    report.add("v_max_splitting", largest / 1e6, "MHz")
     bound = spinbath.superhyperfine_dephasing_bound(
         doc.si("material", "t1_bulk_us"), doc.si("simulation", "t2_undoped_us")
     )
@@ -594,7 +596,13 @@ def main(argv=None) -> int:
         if report.curve is not None and args.out:
             write_trace_csv(args.out, report.curve, args.subcommand)
             print(f"wrote {args.out}", file=sys.stderr)
-        print(report.render())
+        try:
+            print(report.render(), flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout (`rexsim golden | head -1`); aim stdout at
+            # devnull so the interpreter's final flush cannot raise again, and
+            # keep this run's own exit code
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         for note in report.notes:
             print(note, file=sys.stderr)
         if not report.all_passed:
@@ -603,8 +611,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}{blame}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:  # every user-named path: --config, --fit-input, --out, --write-config
-        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a user-named path (--config, --fit-input, --out, --write-config) or a full disk
+        reason = exc.strerror or exc
+        where = "" if exc.filename is None else f"cannot open {exc.filename}: "
+        print(f"error: {where}{reason}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericError, ArithmeticError, MemoryError) as exc:
         if isinstance(exc, OverflowError) and len(exc.args) == 2:  # float overflow: (errno, text)

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 from .cavity import CavityDevice, CoherenceSummary, DetectionChain
 from .errors import ConfigError
-from .photonstats import BackgroundModel, EmitterLevelScheme
+from .photonstats import EmitterLevelScheme
 from .quantities import angular_from_ordinary
 from .spectroscopy import LocalFieldModel, MaterialSpec
-from .spinbath import ElectronicMoment, FlipFlopParams, SpinBathSite
+from .spinbath import FlipFlopParams, SpinBathSite, electronic_moment
 
 
 @dataclass(frozen=True)
@@ -179,11 +179,13 @@ class ConfigDocument:
             pure_dephasing=self.si("simulation", "gamma_star_khz"),
         )
 
-    def ground_moment(self) -> ElectronicMoment:
-        return ElectronicMoment("ground", self.si("material", "g_ground"))
+    def ground_moment(self) -> float:
+        """Ground-level electronic moment in J/T."""
+        return electronic_moment(self.si("material", "g_ground"))
 
-    def excited_moment(self) -> ElectronicMoment:
-        return ElectronicMoment("excited", self.si("material", "g_excited"))
+    def excited_moment(self) -> float:
+        """Excited-level electronic moment in J/T."""
+        return electronic_moment(self.si("material", "g_excited"))
 
     def yttrium_site(self) -> SpinBathSite:
         return SpinBathSite(
@@ -222,8 +224,9 @@ class ConfigDocument:
             shelf_recovery=self.si("simulation", "shelf_recovery_hz"),
         )
 
-    def background(self) -> BackgroundModel:
-        return BackgroundModel(mean_per_pulse=self.si("simulation", "background_per_pulse"))
+    def background(self) -> float:
+        """Mean Poissonian background in counts per pulse."""
+        return self.si("simulation", "background_per_pulse")
 
     def pulse_period(self) -> float:
         return 1.0 / self.si("simulation", "repetition_khz")
@@ -315,7 +318,7 @@ def parse_config_text(text: str) -> ConfigDocument:
 
 
 def parse_config(path: str) -> ConfigDocument:
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as handle:  # a BOM is dropped
         return parse_config_text(handle.read())
 
 

@@ -55,7 +55,7 @@ def read_trace_csv(path: str) -> TimeTrace:
     metadata = {}
     header = None
     rows = []
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as handle:  # a BOM is dropped
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:

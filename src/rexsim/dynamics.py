@@ -497,17 +497,12 @@ def fit_pure_dephasing(points: np.ndarray) -> FitResult:
     return FitResult(value=gamma_star, stderr=stderr, residual_rms=rms, n_points=offsets.size)
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
-    exponent: float
-    amplitude: float
-    exponent_stderr: float
-    residual_rms: float
-    n_points: int
+def fit_power_law(detuning: np.ndarray, counts: np.ndarray) -> FitResult:
+    """Fit N(Delta) = A * Delta^-p by linear regression in log-log space.
 
-
-def fit_power_law(detuning: np.ndarray, counts: np.ndarray) -> PowerLawFit:
-    """Fit N(Delta) = A * Delta^-p by linear regression in log-log space."""
+    ``value`` is the exponent p and ``stderr`` its standard error; A is
+    ``extras["amplitude"]``.
+    """
     detuning = np.asarray(detuning, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if detuning.size != counts.size or detuning.size < 2:
@@ -515,12 +510,12 @@ def fit_power_law(detuning: np.ndarray, counts: np.ndarray) -> PowerLawFit:
     if np.any(detuning <= 0.0) or np.any(counts <= 0.0):
         raise ValidationError("power-law data must be strictly positive")
     slope, intercept, slope_se, rms = line_fit(np.log(detuning), np.log(counts))
-    return PowerLawFit(
-        exponent=-slope,
-        amplitude=math.exp(intercept),
-        exponent_stderr=slope_se,
+    return FitResult(
+        value=-slope,
+        stderr=slope_se,
         residual_rms=rms,
         n_points=int(detuning.size),
+        extras={"amplitude": math.exp(intercept)},
     )
 
 

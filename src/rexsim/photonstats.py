@@ -73,17 +73,6 @@ class EmitterLevelScheme:
 
 
 @dataclass(frozen=True)
-class BackgroundModel:
-    """Pulse-synchronous Poissonian background, counts per pulse."""
-
-    mean_per_pulse: float = 0.0
-
-    def __post_init__(self):
-        if self.mean_per_pulse < 0.0:
-            raise ValidationError("background counts per pulse must be non-negative")
-
-
-@dataclass(frozen=True)
 class CountRecord:
     """Detected photon counts for every excitation pulse of one run."""
 
@@ -128,20 +117,24 @@ def _shelf_activity(
 
 def simulate_emitter_stream(
     scheme: EmitterLevelScheme,
-    background: BackgroundModel,
+    background: float,
     n_pulses: int,
     period: float,
     seed: int,
 ) -> CountRecord:
     """Per-pulse Monte Carlo of the shelving emitter plus background.
 
-    Fully determined by (parameters, seed): every random decision comes from
-    a fixed Philox stream, so reruns reproduce the record bit for bit.
+    ``background`` is the mean of a pulse-synchronous Poissonian background,
+    in counts per pulse. Fully determined by (parameters, seed): every random
+    decision comes from a fixed Philox stream, so reruns reproduce the record
+    bit for bit.
     """
     if n_pulses < 1:
         raise ValidationError("need at least one pulse")
     if period <= 0.0:
         raise ValidationError("pulse period must be positive")
+    if background < 0.0:
+        raise ValidationError("background counts per pulse must be non-negative")
     signal = _uniform_below(seed, _STREAM_EXCITE, scheme.p_excite, n_pulses)
     if scheme.p_shelve > 0.0:
         q_recover = -math.expm1(-scheme.shelf_recovery * period)
@@ -151,9 +144,8 @@ def simulate_emitter_stream(
             _uniform_below(seed, _STREAM_RECOVER, q_recover, n_pulses),
         )
     signal &= _uniform_below(seed, _STREAM_DETECT, scheme.p_detect, n_pulses)
-    b = background.mean_per_pulse
-    if b > 0.0:
-        counts = _stream(seed, _STREAM_BACKGROUND).poisson(b, n_pulses)
+    if background > 0.0:
+        counts = _stream(seed, _STREAM_BACKGROUND).poisson(background, n_pulses)
         counts += signal
     else:
         counts = signal.astype(np.int64)

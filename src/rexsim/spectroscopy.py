@@ -68,7 +68,7 @@ class DerivedTransition:
     radiative_lifetime: float  # s
     branching_ratio: float
     angular_frequency: AngularRate
-    local_field_model: LocalFieldModel
+    local_field_correction: float  # chi_L of the model the chain ran with
 
 
 def local_field_correction(refractive_index: float, model: LocalFieldModel) -> float:
@@ -173,5 +173,5 @@ def derive_transition(
         radiative_lifetime=t_rad,
         branching_ratio=beta,
         angular_frequency=omega,
-        local_field_model=model,
+        local_field_correction=chi_l,
     )

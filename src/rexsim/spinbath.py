@@ -39,17 +39,9 @@ class SpinBathSite:
             raise ValidationError(f"nuclear spin must be a positive half-integer, got {self.spin}")
 
 
-@dataclass(frozen=True)
-class ElectronicMoment:
-    """Effective electronic magnetic moment of one Kramers-doublet level."""
-
-    label: str
-    g_factor: float
-
-    @property
-    def moment(self) -> float:
-        """Moment magnitude g*mu_B/2 in J/T (spin-1/2 doublet)."""
-        return self.g_factor * MU_B / 2.0
+def electronic_moment(g_factor: float) -> float:
+    """Effective moment g*mu_B/2 of one Kramers-doublet level in J/T (spin 1/2)."""
+    return g_factor * MU_B / 2.0
 
 
 @dataclass(frozen=True)
@@ -83,20 +75,21 @@ class FlipFlopParams:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-def dipolar_field(moment: ElectronicMoment, site: SpinBathSite) -> float:
-    """Axial component of the electronic point-dipole field at the site, tesla.
+def dipolar_field(moment: float, site: SpinBathSite) -> float:
+    """Axial component at the site of the point-dipole field of a moment in J/T, tesla.
 
     (mu0/4pi) * (mu/r^3) * (3 cos^2 theta - 1): factor 2 on axis, -1 in the
     equatorial plane, zero at the magic angle.
     """
     geometry = 3.0 * math.cos(site.theta) ** 2 - 1.0
-    return MU_0 / (4.0 * math.pi) * moment.moment / site.distance**3 * geometry
+    return MU_0 / (4.0 * math.pi) * moment / site.distance**3 * geometry
 
 
 def superhyperfine_splitting(
-    site: SpinBathSite, moment: ElectronicMoment, b_field: float
+    site: SpinBathSite, moment: float, b_field: float
 ) -> OrdinaryFrequency:
-    """Nuclear doublet splitting gamma_n * |B_eff| in Hz.
+    """Nuclear doublet splitting gamma_n * |B_eff| in Hz, for an electronic
+    moment in J/T (see electronic_moment).
 
     The effective field combines the applied field with the electronic
     dipolar field along the quantization axis. For the electronic branch
@@ -110,29 +103,19 @@ def superhyperfine_splitting(
     return site.gyromagnetic_ratio * abs(b_eff)
 
 
-@dataclass(frozen=True)
-class SublevelSummary:
-    count: int
-    min_splitting: OrdinaryFrequency
-    max_splitting: OrdinaryFrequency
-
-
 def sublevel_count_and_range(
-    site: SpinBathSite, moment: ElectronicMoment, b_field: float
-) -> SublevelSummary:
+    site: SpinBathSite, moment: float, b_field: float
+) -> tuple[int, OrdinaryFrequency, OrdinaryFrequency]:
     """Number of superhyperfine sublevels and the spread of their splittings.
 
     A spin-I nucleus gives 2I+1 equally spaced levels; pairwise splittings
     then range from the adjacent-level value gamma_n*|B_eff| up to the full
-    ladder span 2I * gamma_n * |B_eff|.
+    ladder span 2I * gamma_n * |B_eff|. Returns (count, smallest, largest)
+    with the splittings in Hz.
     """
     count = int(round(2.0 * site.spin + 1.0))
     adjacent = superhyperfine_splitting(site, moment, b_field)
-    return SublevelSummary(
-        count=count,
-        min_splitting=adjacent,
-        max_splitting=(count - 1) * adjacent,
-    )
+    return count, adjacent, (count - 1) * adjacent
 
 
 def eseem_envelope(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rexsim.cavity import (
-    BudgetReport,
     CavityDevice,
     CoherenceSummary,
     DetectionChain,
@@ -49,7 +48,7 @@ class TestKappa:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             device = default_document().cavity_device()
-        assert ord_(device.total_decay) == pytest.approx(90e9)
+        assert ord_(device.kappa) == pytest.approx(90e9)
 
 
 class TestPurcellAndCoupling:
@@ -231,25 +230,24 @@ MEASURED_STAGES = (
 
 class TestDetectionBudget:
     def test_measured_chain(self):
-        budget = detection_budget(DetectionChain(stages=MEASURED_STAGES))
-        assert budget.total == pytest.approx(0.0365, abs=5e-5)
-        assert isinstance(budget, BudgetReport)
-        assert len(budget.rows) == 5
-        assert budget.rows[-1][2] == budget.total
+        rows, total = detection_budget(DetectionChain(stages=MEASURED_STAGES))
+        assert total == pytest.approx(0.0365, abs=5e-5)
+        assert len(rows) == 5
+        assert rows[-1][2] == total
 
     def test_empty_chain(self):
-        assert detection_budget(DetectionChain(stages=())).total == 1.0
+        assert detection_budget(DetectionChain(stages=())) == ([], 1.0)
 
     def test_improved_chain(self):
         chain = DetectionChain(
             stages=(("a", 0.80), ("b", 0.97), ("c", 0.90), ("d", 0.95), ("e", 0.95))
         )
-        assert detection_budget(chain).total == pytest.approx(0.63, abs=0.005)
+        assert detection_budget(chain)[1] == pytest.approx(0.63, abs=0.005)
 
     def test_permutation_invariant(self):
-        reference = detection_budget(DetectionChain(stages=MEASURED_STAGES)).total
+        reference = detection_budget(DetectionChain(stages=MEASURED_STAGES))[1]
         for perm in itertools.permutations(MEASURED_STAGES):
-            assert detection_budget(DetectionChain(stages=perm)).total == pytest.approx(
+            assert detection_budget(DetectionChain(stages=perm))[1] == pytest.approx(
                 reference, rel=1e-12
             )
 
@@ -265,26 +263,25 @@ class TestQScaling:
 
     def test_identity_at_factor_one(self, device, coherence, transition):
         g0 = ang(28.5e6)
-        report = project_q_scaling(device, coherence, g0, transition.branching_ratio, 90e-6, 1.0)
-        assert report.kappa == device.total_decay
-        assert report.cooperativity == pytest.approx(
-            cooperativity(g0, device.total_decay, coherence.t2), rel=1e-12
+        t_cav, coop, _ = project_q_scaling(
+            device, coherence, g0, transition.branching_ratio, 90e-6, 1.0
         )
-        assert report.t_cav == pytest.approx(
-            cavity_lifetime(g0, device.total_decay, transition.branching_ratio, 90e-6), rel=1e-12
+        assert coop == pytest.approx(cooperativity(g0, device.kappa, coherence.t2), rel=1e-12)
+        assert t_cav == pytest.approx(
+            cavity_lifetime(g0, device.kappa, transition.branching_ratio, 90e-6), rel=1e-12
         )
 
     def test_factor_ten_cooperativity(self, device, coherence, transition):
-        report = project_q_scaling(
+        _, coop, _ = project_q_scaling(
             device, coherence, ang(28.5e6), transition.branching_ratio, 90e-6, 10.0
         )
-        assert report.cooperativity == pytest.approx(29, rel=0.10)
+        assert coop == pytest.approx(29, rel=0.10)
 
     def test_factor_ten_indistinguishability(self, device, coherence, transition):
-        report = project_q_scaling(
+        _, _, indist = project_q_scaling(
             device, coherence, ang(52.7e6), transition.branching_ratio, 90e-6, 10.0
         )
-        assert report.indistinguishability == pytest.approx(0.992, abs=5e-4)
+        assert indist == pytest.approx(0.992, abs=5e-4)
 
     def test_rejects_bad_factor(self, device, coherence):
         with pytest.raises(ValidationError):
@@ -293,7 +290,7 @@ class TestQScaling:
 
 class TestDeviceInvariants:
     def test_kappa_within_tolerance_accepted(self, device):
-        assert ord_(device.total_decay) == pytest.approx(90e9, rel=1e-12)
+        assert ord_(device.kappa) == pytest.approx(90e9, rel=1e-12)
 
     def test_kappa_beyond_tolerance_rejected(self, material):
         with pytest.raises(InconsistencyError, match=r"\(> 5%\)"):
@@ -305,15 +302,6 @@ class TestDeviceInvariants:
                 kappa=ang(120e9),
             )
 
-    def test_kappa_derived_when_absent(self, material):
-        dev = CavityDevice(
-            q_factor=3900.0,
-            mode_volume=0.056e-18,
-            resonance=material.angular_frequency,
-            input_fraction=0.45,
-        )
-        assert dev.total_decay == pytest.approx(material.angular_frequency / 3900.0, rel=1e-12)
-
     def test_input_fraction_bounds(self, material):
         with pytest.raises(ValidationError):
             CavityDevice(
@@ -321,11 +309,12 @@ class TestDeviceInvariants:
                 mode_volume=0.056e-18,
                 resonance=material.angular_frequency,
                 input_fraction=1.2,
+                kappa=ang(90e9),
             )
 
     def test_coherence_radiative_limit(self):
         with pytest.raises(InconsistencyError):
-            CoherenceSummary(t1=2.1e-6, t2=25.4e-6)
+            CoherenceSummary(t1=2.1e-6, t2=25.4e-6, pure_dephasing=9.7e3)
 
     def test_coherence_rejects_dephasing_above_linewidth(self):
         # gamma_h = 1/(pi * 25.4 us) = 12.5 kHz bounds gamma* from above

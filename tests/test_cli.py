@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rexsim import cli
 from rexsim.cli import HANDLERS, REFERENCES, build_parser, cmd_golden, main
 from rexsim.config import default_document, parse_config
 from rexsim.csvio import read_trace_csv, render_trace_csv, strip_timestamp, write_trace_csv
@@ -66,6 +68,35 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_pathless_os_error_names_no_path(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, trace, subcommand):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_trace_csv", full_disk)
+        assert main(["spinbath", "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == "error: No space left on device\n"
+
+    @pytest.mark.parametrize("config, code", [("", 0), ("[material]\nlocal_field_model = virtual\n", 4)],
+                             ids=["defaults", "failing-rows"])
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, config, code):
+        """A reader that closes its end first (`rexsim golden | head -1`) gets no error line."""
+        path = tmp_path / "run.ini"
+        path.write_text(config, encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rexsim.cli", "golden", "--config", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == code
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("one or more quantities fell outside tolerance")
 
     @pytest.mark.parametrize("argv", [
         ["cavity", "--q-scale", "nan"],
@@ -306,6 +337,15 @@ class TestCsvContract:
         assert np.allclose(back.extra["sigma"], trace.extra["sigma"])
         assert back.metadata["alpha"] == 1.5
         assert back.metadata["seed"] == 5
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        assert main(["echo", "--points", "50", "--out", str(plain)]) == 0
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = read_trace_csv(str(plain)), read_trace_csv(str(bom))
+        assert (a.x_name, a.x_unit, a.y_name, a.y_unit) == (b.x_name, b.x_unit, b.y_name, b.y_unit)
+        assert a.metadata == b.metadata
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_rerun_identical_apart_from_timestamp(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

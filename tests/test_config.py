@@ -9,6 +9,7 @@ from rexsim.config import (
     serialize,
 )
 from rexsim.errors import ConfigError
+from rexsim.spinbath import electronic_moment
 
 
 class TestParsing:
@@ -89,6 +90,12 @@ class TestParsing:
         path.write_text("[simulation]\nseed = 7\n", encoding="utf-8")
         assert parse_config(str(path)).seed() == 7
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "[material]\nlocal_field_model = virtual\n[simulation]\nseed = 7\n"
+        path = tmp_path / "bom.ini"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert parse_config(str(path)) == parse_config_text(text)
+
 
 class TestUnitConversion:
     def test_wavelength_nm_to_m(self):
@@ -120,20 +127,20 @@ class TestAccessors:
 
     def test_cavity_device_prefers_measured_kappa(self):
         device = default_document().cavity_device()
-        assert device.total_decay == pytest.approx(2 * math.pi * 90e9)
+        assert device.kappa == pytest.approx(2 * math.pi * 90e9)
 
     def test_detection_chain_matches_measured_stages(self):
         from rexsim.cavity import detection_budget
 
         chain = default_document().detection_chain()
         assert len(chain.stages) == 5
-        assert detection_budget(chain).total == pytest.approx(0.0365, abs=5e-5)
+        assert detection_budget(chain)[1] == pytest.approx(0.0365, abs=5e-5)
 
     def test_sites_and_moments(self):
         doc = default_document()
         assert doc.yttrium_site().gyromagnetic_ratio == pytest.approx(2.1e6)
         assert doc.vanadium_site().spin == 3.5
-        assert doc.ground_moment().g_factor == 2.36
+        assert doc.ground_moment() == electronic_moment(2.36)
 
     def test_flipflop_params(self):
         params = default_document().flipflop_params()

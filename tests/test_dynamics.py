@@ -489,13 +489,13 @@ class TestPowerLaw:
         delta = np.geomspace(1.0, 30.0, 40)
         counts = 1.13e4 * delta**-2.9
         fit = fit_power_law(delta, counts)
-        assert fit.exponent == pytest.approx(2.9, rel=1e-9)
-        assert fit.amplitude == pytest.approx(1.13e4, rel=1e-6)
+        assert fit.value == pytest.approx(2.9, rel=1e-9)
+        assert fit.extras["amplitude"] == pytest.approx(1.13e4, rel=1e-6)
 
     def test_constant_data(self):
         delta = np.geomspace(1.0, 30.0, 20)
         fit = fit_power_law(delta, np.full(20, 7.0))
-        assert fit.exponent == pytest.approx(0.0, abs=1e-9)
+        assert fit.value == pytest.approx(0.0, abs=1e-9)
 
     def test_poisson_noise_recovery(self):
         rng = np.random.default_rng(5)
@@ -503,7 +503,7 @@ class TestPowerLaw:
         counts = rng.poisson(1.13e4 * delta**-2.9).astype(float)
         usable = counts > 0
         fit = fit_power_law(delta[usable], counts[usable])
-        assert fit.exponent == pytest.approx(2.9, abs=0.1)
+        assert fit.value == pytest.approx(2.9, abs=0.1)
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValidationError):

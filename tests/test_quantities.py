@@ -147,10 +147,10 @@ class TestRadiativeLimit:
         inside, beyond = 2.08 * self.T1, 2.12 * self.T1
         assert TwoLevelParams(t1=self.T1, t2=inside).t2 == 2.0 * self.T1
         assert indistinguishability(inside, self.T1) == 1.0
-        CoherenceSummary(t1=self.T1, t2=inside)
+        CoherenceSummary(t1=self.T1, t2=inside, pure_dephasing=0.0)
         for build in (
             lambda: TwoLevelParams(t1=self.T1, t2=beyond),
-            lambda: CoherenceSummary(t1=self.T1, t2=beyond),
+            lambda: CoherenceSummary(t1=self.T1, t2=beyond, pure_dephasing=0.0),
             lambda: indistinguishability(beyond, self.T1),
         ):
             with pytest.raises(InconsistencyError):

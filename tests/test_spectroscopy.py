@@ -153,7 +153,9 @@ def test_virtual_model_chain_differs(material):
     virtual = derive_transition(material, LocalFieldModel.VIRTUAL)
     # virtual-cavity chi is larger, so f is smaller for the same absorption
     assert virtual.oscillator_strength < real.oscillator_strength
-    assert virtual.local_field_model is LocalFieldModel.VIRTUAL
+    assert virtual.local_field_correction == local_field_correction(
+        material.refractive_index, LocalFieldModel.VIRTUAL
+    )
 
 
 def test_wavelength_monotonicity(material):

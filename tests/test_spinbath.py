@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from rexsim.errors import ValidationError
 from rexsim.spinbath import (
-    ElectronicMoment,
     FlipFlopParams,
     SpinBathSite,
     dipolar_field,
+    electronic_moment,
     eseem_envelope,
     flipflop_added_dephasing,
     flipflop_gamma_sd,
@@ -20,8 +20,8 @@ from rexsim.spinbath import (
     superhyperfine_splitting,
 )
 
-GROUND = ElectronicMoment("ground", 2.36)
-EXCITED = ElectronicMoment("excited", 0.9)
+GROUND = electronic_moment(2.36)
+EXCITED = electronic_moment(0.9)
 Y_SITE = SpinBathSite("Y", 0.5, 2.1e6, 3.9e-10, theta=0.0)
 V_SITE = SpinBathSite("V", 3.5, 11.2e6, 3.14e-10)
 
@@ -39,7 +39,7 @@ class TestDipolarField:
         assert dipolar_field(GROUND, magic) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_in_moment(self):
-        half = ElectronicMoment("half", 1.18)
+        half = electronic_moment(1.18)
         assert dipolar_field(half, Y_SITE) == pytest.approx(
             dipolar_field(GROUND, Y_SITE) / 2, rel=1e-12
         )
@@ -87,19 +87,19 @@ class TestSuperhyperfine:
 
 class TestSublevels:
     def test_vanadium_count(self):
-        assert sublevel_count_and_range(V_SITE, GROUND, 0.39).count == 8
+        assert sublevel_count_and_range(V_SITE, GROUND, 0.39)[0] == 8
 
     def test_vanadium_range_at_390_mt(self):
-        summary = sublevel_count_and_range(V_SITE, GROUND, 0.39)
-        assert summary.min_splitting >= 3e6
-        assert summary.max_splitting <= 35e6
+        _, smallest, largest = sublevel_count_and_range(V_SITE, GROUND, 0.39)
+        assert smallest >= 3e6
+        assert largest <= 35e6
 
     def test_yttrium_doublet(self):
-        assert sublevel_count_and_range(Y_SITE, GROUND, 0.39).count == 2
+        assert sublevel_count_and_range(Y_SITE, GROUND, 0.39)[0] == 2
 
     def test_span_is_ladder_times_adjacent(self):
-        summary = sublevel_count_and_range(V_SITE, GROUND, 0.39)
-        assert summary.max_splitting == pytest.approx(7 * summary.min_splitting, rel=1e-12)
+        _, smallest, largest = sublevel_count_and_range(V_SITE, GROUND, 0.39)
+        assert largest == pytest.approx(7 * smallest, rel=1e-12)
 
 
 class TestEseemEnvelope:
@@ -240,4 +240,4 @@ class TestSiteValidation:
     def test_moment_is_half_g_bohr_magneton(self):
         from rexsim.constants import MU_B
 
-        assert GROUND.moment == pytest.approx(1.18 * MU_B, rel=1e-12)
+        assert GROUND == pytest.approx(1.18 * MU_B, rel=1e-12)

@@ -1,4 +1,5 @@
-"""Guards on how the package is put together: import cost, the demos, the CLI and INI surface."""
+"""Guards on how the package is put together: import cost, the demos, the CLI and INI surface,
+and the calls the benchmark makes into the package."""
 
 import os
 import subprocess
@@ -50,8 +51,30 @@ def test_cli_and_golden_load_no_scipy():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    proc = run_python(str(demo))
+    """Each demo runs under the suite's own policy: a warning is an error."""
+    proc = run_python("-W", "error", str(demo))
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_benchmark_calls_still_work(tmp_path, monkeypatch):
+    """The benchmark's legs warm up, and one Bloch round (its oracle checks) and one CLI-layer
+    round run with no failed operation; the photon round's 5M-pulse draws are left out."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import worker
+    from common import NullTracer, Ops
+
+    ops = Ops()
+    legs = [
+        worker.PhotonLegs(1, NullTracer(), ops),
+        worker.BlochLegs(1, NullTracer(), ops, str(tmp_path)),
+        worker.CliLayers(NullTracer(), ops),
+    ]
+    for leg in legs:
+        leg.warm_up()
+    for leg in legs[1:]:
+        leg.round()
+    assert ops.failed == 0, ops.failures
+    assert ops.attempted > 0
 
 
 def test_cli_surface():
