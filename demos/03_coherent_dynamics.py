@@ -18,7 +18,6 @@ from rexsim.dynamics import (
     fit_pure_dephasing,
     fit_t2_from_echo,
     rabi_nutation_scan,
-    ramsey_beat_frequency,
     simulate_echo_decay,
     simulate_ramsey,
 )
@@ -48,7 +47,7 @@ fit = extract_t2star(ramsey)
 print(f"two pi/2 pulses, beat at {beat/1e3:.0f} kHz: envelope nodes every "
       f"{1e6/beat:.2f} us")
 print(f"fitted T2* = {fit.value*1e6:.2f} +- {fit.stderr*1e6:.2f} us")
-print(f"spectral beat peak: {ramsey_beat_frequency(ramsey)/1e3:.0f} kHz\n")
+print(f"fitted beat: {fit.extras['beat_hz']/1e3:.1f} kHz\n")
 
 print("== Two-pulse photon echo ==")
 t12 = np.linspace(0.05e-6, 30e-6, 600)

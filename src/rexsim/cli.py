@@ -288,8 +288,9 @@ def cmd_ramsey(args, doc: ConfigDocument) -> RunReport:
             detuning=args.detuning_khz * 1e3,
         )
         report.add("beat_input", beat / 1e3, "kHz")
-    report.add("beat_spectral_peak", dynamics.ramsey_beat_frequency(trace) / 1e3, "kHz")
     fit = dynamics.extract_t2star(trace)
+    report.add("beat_fitted", fit.extras["beat_hz"] / 1e3, "kHz")
+    report.add("detuning_fitted", fit.extras["detuning_hz"] / 1e3, "kHz")
     report.add("t2_star_fitted", fit.value * 1e6, "us")
     report.add("t2_star_stderr", fit.stderr * 1e6, "us")
     return report

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .quantities import AngularRate, OrdinaryFrequency, check_radiative_limit
-from .spectral import dominant_beat, interior_maxima, line_fit
+from .spectral import interior_maxima, line_fit, uniform_step
 from .trace import TimeTrace
 
 
@@ -264,6 +264,8 @@ def simulate_ramsey(
     """
     if t2_star <= 0.0:
         raise ValidationError("T2* must be positive")
+    if beat < 0.0:
+        raise ValidationError(f"beat is a splitting and cannot be negative, got {beat} Hz")
     delays = np.asarray(delays, dtype=float)
     fringe = (
         np.cos(2.0 * math.pi * detuning * delays)
@@ -281,13 +283,15 @@ def simulate_ramsey(
     )
 
 
-# The fringe fit's Levenberg-Marquardt stops once a step would move f and tau
-# by less than _FRINGE_XTOL of their values. Its damping never drops below
-# _FRINGE_MIN_DAMPING, so the rejections that end a run stay few. Noisy
-# detuned fringes can wander a flat valley for a few hundred steps.
+# The damped-tone fit's Levenberg-Marquardt stops once a step would move each
+# frequency and tau by less than _FRINGE_XTOL of its value. Its damping never
+# drops below _FRINGE_MIN_DAMPING, so the rejections that end a run stay few.
+# Noisy detuned fringes can wander a flat valley for a few hundred steps.
 _FRINGE_XTOL = 1e-9
 _FRINGE_MIN_DAMPING = 1e-9
 _FRINGE_MAX_STEPS = 1000
+# The pencil seeds on at most this many block means; the refine uses every sample.
+_PENCIL_MAX_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -301,81 +305,55 @@ class FitResult:
     extras: dict = field(default_factory=dict)
 
 
-def _log_linear_fit(t: np.ndarray, amplitude: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line through (t, log amplitude): slope, slope SE, rms."""
-    mask = amplitude > 0.0
-    if np.count_nonzero(mask) < 2:
-        raise FitError("not enough positive points for a log-linear fit")
-    slope, _, slope_se, rms = line_fit(t[mask], np.log(amplitude[mask]))
-    return slope, slope_se, rms
-
-
 def extract_t2star(trace: TimeTrace) -> FitResult:
-    """Inhomogeneous dephasing time from the decay of a fringe pattern.
+    """Dephasing time T2* of a Ramsey trace, from one damped-tone fit.
 
-    An oscillating trace is referenced to its mean (the fringes average
-    out) and fitted globally to A cos(2 pi f t + phi) exp(-t/T2*), with the
-    fringe frequency seeded from the spectrum; the fitted f, amplitude and
-    phase are reported in ``extras``. A monotone trace is treated as a bare
-    envelope and fitted by log-linear regression.
+    Fits c + exp(-t/T2*) sum_k (a_k cos 2 pi f_k t + b_k sin 2 pi f_k t) with
+    one or two tones; a tone at f = 0 is a trace with no beat. The tones of
+    simulate_ramsey lie at beat/2 -+ detuning, which the trace alone cannot
+    tell apart, so |detuning| < beat/2 is assumed. ``extras`` holds
+    ``beat_hz``, the sum of the tones (twice a single tone), ``detuning_hz``,
+    half their difference, the ascending ``tones_hz`` and the ``offset`` c.
+
+    A matrix pencil seeds f_k and tau. Variable projection (Golub & Pereyra
+    1973, SIAM J. Numer. Anal. 10:413) refines them: the 2K + 1 amplitudes
+    come from one linear least squares per trial (f_k, tau), and
+    Levenberg-Marquardt moves (f_k, tau) along Kaufman's projected Jacobian.
+    A zero tone's sine column is all zero, hence lstsq and pinv. The stderr
+    of tau comes from the full Jacobian with s^2 = SSR / (n - 3K - 2).
     """
     if len(trace) < 8:
         raise FitError("need at least 8 points to extract T2*")
-    mean = float(np.mean(trace.y))
-    sign_changes = int(np.count_nonzero(np.diff(np.sign(trace.y - mean)) != 0))
-    detrended = trace.y - (mean if sign_changes >= 4 else 0.0)
-    sign_changes = int(np.count_nonzero(np.diff(np.sign(detrended)) != 0))
-    if sign_changes >= 4:
-        return _fit_damped_fringe(trace.x, detrended)
-    env = np.abs(detrended)
-    slope, slope_se, rms = _log_linear_fit(trace.x, env)
-    if slope >= 0.0:
-        raise FitError("envelope does not decay; cannot extract T2*")
-    return FitResult(
-        value=-1.0 / slope,
-        stderr=slope_se / slope**2,
-        residual_rms=rms,
-        n_points=int(trace.x.size),
-    )
-
-
-def _fit_damped_fringe(t: np.ndarray, signal: np.ndarray) -> FitResult:
-    """Least squares of exp(-t/tau) (a cos 2 pi f t + b sin 2 pi f t) + c.
-
-    The free offset c absorbs the residual baseline error left by the mean
-    subtraction (the fringe does not average to exactly zero over a finite
-    window), which matters downstream when the envelope is divided out.
-
-    Variable projection (Golub & Pereyra 1973, SIAM J. Numer. Anal. 10:413):
-    a, b and c are linear, so for each trial (f, tau) they come from one
-    linear least squares, and Levenberg-Marquardt moves (f, tau) alone along
-    Kaufman's projected Jacobian. The stderr of tau comes from the full
-    five-parameter Jacobian with s^2 = SSR / (n - 5).
-    """
+    t, y = trace.x, trace.y
+    if np.ptp(y) == 0.0:
+        raise FitError("trace is flat; cannot extract T2*")
     omega = 2.0 * math.pi * t
 
-    def project(f, tau):
-        """Basis, linear coefficients, residuals and the (f, tau) model slopes."""
-        envelope = np.exp(-t / tau)
-        cos, sin = np.cos(omega * f) * envelope, np.sin(omega * f) * envelope
+    def project(theta):
+        """Basis, linear coefficients, residuals and the (f_k, tau) model slopes."""
+        phase, envelope = np.outer(omega, theta[:-1]), np.exp(-t / theta[-1])[:, None]
+        cos, sin = np.cos(phase) * envelope, np.sin(phase) * envelope
         basis = np.column_stack([cos, sin, np.ones_like(t)])
-        a, b, c = np.linalg.lstsq(basis, signal, rcond=None)[0]
-        slopes = np.column_stack([omega * (b * cos - a * sin), t / tau**2 * (a * cos + b * sin)])
-        return basis, slopes, signal - basis @ (a, b, c), (a, b, c)
+        coef = np.linalg.lstsq(basis, y, rcond=None)[0]
+        a, b = np.split(coef[:-1], 2)
+        slopes = np.column_stack(
+            [omega[:, None] * (b * cos - a * sin), t / theta[-1] ** 2 * (cos @ a + sin @ b)])
+        return basis, slopes, y - basis @ coef, coef
 
-    theta = np.array([dominant_beat(t, signal), float(t[-1] - t[0]) / 3.0])
-    basis, slopes, residuals, coef = project(*theta)
     damping = 1e-3
     try:
+        theta = _pencil_seed(t, y)
+        basis, slopes, residuals, coef = project(theta)
         for _ in range(_FRINGE_MAX_STEPS):
             jac = slopes - basis @ np.linalg.lstsq(basis, slopes, rcond=None)[0]
             jtj = jac.T @ jac
-            step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)), jac.T @ residuals)
+            step = np.linalg.lstsq(jtj + damping * np.diag(np.diag(jtj)), jac.T @ residuals,
+                                   rcond=None)[0]
             if np.all(np.abs(step) <= _FRINGE_XTOL * np.abs(theta)):
                 break
             trial = theta + step
-            if trial[1] > 0.0:
-                fitted = project(*trial)
+            if trial[-1] > 0.0:
+                fitted = project(trial)
                 if fitted[2] @ fitted[2] < residuals @ residuals:
                     theta, (basis, slopes, residuals, coef) = trial, fitted
                     damping = max(0.1 * damping, _FRINGE_MIN_DAMPING)
@@ -385,43 +363,73 @@ def _fit_damped_fringe(t: np.ndarray, signal: np.ndarray) -> FitResult:
             raise FitError(f"fringe fit did not converge in {_FRINGE_MAX_STEPS} steps")
         jac = np.column_stack([slopes, basis])
         scale = np.linalg.norm(jac, axis=0)
-        cov = np.linalg.inv((jac / scale).T @ (jac / scale)) / np.outer(scale, scale)
+        scale[scale == 0.0] = 1.0
+        cov = np.linalg.pinv((jac / scale).T @ (jac / scale)) / np.outer(scale, scale)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"fringe fit is degenerate: {exc}") from None
     # trials with tau <= 0 are rejected, so a growing envelope drives tau up
     # until the fit degenerates or tau leaves the floats
-    frequency, tau = theta
+    tau, tones = theta[-1], np.sort(np.abs(theta[:-1]))
     if not math.isfinite(tau):
         raise FitError("envelope does not decay; cannot extract T2*")
-    a, b, c = coef
     ssr = float(residuals @ residuals)
     return FitResult(
         value=float(tau),
-        stderr=math.sqrt(cov[1, 1] * ssr / (t.size - 5)),
+        stderr=math.sqrt(cov[tones.size, tones.size] * ssr / (t.size - 3 * tones.size - 2)),
         residual_rms=math.sqrt(ssr / t.size),
         n_points=int(t.size),
         extras={
-            "amplitude": math.hypot(a, b),
-            "fringe_frequency_hz": float(abs(frequency)),
-            "phase_rad": math.atan2(-b, a),
-            "offset": float(c),
+            "beat_hz": 2.0 * float(np.mean(tones)),
+            "detuning_hz": float(np.ptp(tones)) / 2.0,
+            "tones_hz": tuple(tones.tolist()),
+            "offset": float(coef[-1]),
         },
     )
 
 
-def ramsey_beat_frequency(trace: TimeTrace) -> float:
-    """Beat frequency of a Ramsey fringe pattern, in Hz.
+def _pencil_seed(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Seed (f_1, ..., f_K, tau) of ``extract_t2star`` by a matrix pencil.
 
-    The fringe envelope |cos(pi beat t)| repeats at the beat frequency, so
-    squaring the detrended signal puts a spectral line exactly there. The
-    envelope decay and residual baseline are divided out first (using the
-    fitted fringe model) so that their spectral feet cannot outgrow the
-    beat line.
+    Hua & Sarkar (1990), IEEE Trans. ASSP 38:814: the poles z = exp(s dt) are
+    the eigenvalues of the one-row shift of the leading right singular
+    vectors of the trace's Hankel matrix H, of width n/3, here from eigh of
+    H^T H. BIC picks 2, 3 or 5 poles (the offset and a bare decay, one tone
+    or two), with the residual floored at rounding level so that a noise-free
+    trace picks no spurious order. Poles with no weight are dropped, and the
+    one nearest s = 0 is the offset unless it is the only one left. Block
+    means keep the poles: a block mean of exp(s t) is exp(s t) times a constant.
     """
-    fit = extract_t2star(trace)
-    baseline = float(np.mean(trace.y)) + fit.extras.get("offset", 0.0)
-    flattened = (trace.y - baseline) * np.exp(trace.x / fit.value)
-    return dominant_beat(trace.x, flattened**2)
+    block = -(-y.size // _PENCIL_MAX_POINTS)
+    n, dt = y.size // block, block * uniform_step(t)
+    y = y[: n * block].reshape(n, block).mean(axis=1) / np.max(np.abs(y))
+    width = n // 3
+    hankel = np.lib.stride_tricks.sliding_window_view(y, width + 1)
+    vectors = np.linalg.eigh(hankel.T @ hankel)[1]
+    best = math.inf
+    for order in [order for order in (2, 3, 5) if order <= width]:
+        v = vectors[:, -order:]
+        z = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:]).astype(complex)
+        # each column peaks at 1, where it starts or ends, so none overflows
+        vander = z ** (np.arange(n)[:, None] - (n - 1) * (np.abs(z) > 1.0))
+        amp = np.linalg.lstsq(vander, y, rcond=None)[0]
+        residual = y - (vander @ amp).real
+        bic = n * math.log(max(residual @ residual / n, 1e-20)) + 2 * order * math.log(n)
+        if bic < best:
+            best, poles, weights = bic, z, np.abs(amp) * np.linalg.norm(vander, axis=0)
+    keep = weights > 1e-8 * weights.max()
+    s, weights = np.log(poles[keep]) / dt, weights[keep]
+    if s.size > 1:
+        offset = np.argmin(np.abs(s))
+        s, weights = np.delete(s, offset), np.delete(weights, offset)
+    tones = s[s.imag >= 0.0][np.argsort(-weights[s.imag >= 0.0])[:2]]
+    if not tones.real.sum() < 0.0:
+        raise FitError("envelope does not decay; cannot extract T2*")
+    return np.append(tones.imag / (2.0 * math.pi), -tones.size / tones.real.sum())
+
+
+def ramsey_beat_frequency(trace: TimeTrace) -> float:
+    """Beat frequency of a Ramsey trace in Hz: ``extract_t2star``'s ``beat_hz``."""
+    return extract_t2star(trace).extras["beat_hz"]
 
 
 def simulate_echo_decay(
@@ -465,7 +473,11 @@ def fit_t2_from_echo(trace: TimeTrace, t_min: float = 0.0) -> FitResult:
     mask = trace.x >= t_min
     if np.count_nonzero(mask) < 5:
         raise FitError(f"need at least 5 points beyond t_min = {t_min:.3g} s")
-    slope, slope_se, rms = _log_linear_fit(trace.x[mask], trace.y[mask])
+    t12, intensity = trace.x[mask], trace.y[mask]
+    positive = intensity > 0.0
+    if np.count_nonzero(positive) < 2:
+        raise FitError("not enough positive points for a log-linear fit")
+    slope, _, slope_se, rms = line_fit(t12[positive], np.log(intensity[positive]))
     if slope >= 0.0:
         raise FitError("echo intensity does not decay")
     t2 = -4.0 / slope

@@ -3,6 +3,7 @@ import errno
 import io
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -116,6 +117,7 @@ class TestExitCodes:
         (["sfs", "--config", "{seed_ini}"], 3),
         (["sfs", "--delta-max-ghz", "inf"], 3),
         (["echo", "--t-min-us", "nan"], 3),
+        (["ramsey", "--beat-khz", "-100"], 3),
         (["rabi", "--points", "100000000000000"], 4),
         (["ramsey", "--points", "100000000000000"], 4),
         (["echo", "--points", "100000000000000"], 4),
@@ -125,8 +127,9 @@ class TestExitCodes:
         (["histogram", "--bins", "100000000000000"], 4),
         (["sfs", "--bin-mhz", "1e-9"], 4),
     ], ids=["g2-seed", "sfs-seed", "histogram-seed", "seed-2^64", "ini-seed-1e300",
-            "delta-max-inf", "t-min-nan", "rabi-points", "ramsey-points", "echo-points",
-            "spinbath-points", "flipflop-points", "g2-pulses", "histogram-bins", "sfs-bin-width"])
+            "delta-max-inf", "t-min-nan", "negative-beat", "rabi-points", "ramsey-points",
+            "echo-points", "spinbath-points", "flipflop-points", "g2-pulses", "histogram-bins",
+            "sfs-bin-width"])
     def test_out_of_range_input_exits_cleanly(self, tmp_path, capsys, argv, code):
         seed_ini = tmp_path / "seed.ini"
         seed_ini.write_text("[simulation]\nseed = 1e300\n", encoding="utf-8")
@@ -224,6 +227,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numeric error: ") and err.count("\n") == 1
         assert err.endswith("(flags off their defaults: --delay-max-us=1e+300)\n")
+
+    def test_numpy_floating_point_error_exits_4_with_one_line(self, capsys, monkeypatch):
+        # no shipped input is known to reach a numpy floating-point error, so a
+        # handler stands in for one
+        monkeypatch.setitem(HANDLERS, "spectro", lambda args, doc: np.exp(np.array([1e300])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectro"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numeric error: overflow encountered in exp\n"
 
 
 class TestGolden:
@@ -387,6 +401,17 @@ class TestFitInput:
         assert main(["ramsey", "--fit-input", str(out)]) == 0
         assert "t2_star_fitted" in capsys.readouterr().out
 
+    def test_ramsey_fit_input_off_a_uniform_grid_exits_3(self, tmp_path, capsys):
+        csv = tmp_path / "ramsey.csv"
+        assert main(["ramsey", "--out", str(csv)]) == 0
+        lines = csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        csv.write_text("".join(lines[:100] + lines[110:]), encoding="utf-8")  # ten rows gone
+        capsys.readouterr()
+        assert main(["ramsey", "--fit-input", str(csv)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "uniform grid" in err
+
     def test_missing_fit_input_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         assert main(["echo", "--fit-input", str(missing)]) == 3
@@ -428,6 +453,35 @@ class TestFitInput:
         capsys.readouterr()
         assert main(["rabi", "--fit-input", str(out)]) == 0
         assert "g0_fitted" in capsys.readouterr().out
+
+
+class TestRamsey:
+    """One damped-tone fit recovers the beat, detuning and T2* that `ramsey` simulated."""
+
+    @staticmethod
+    def printed(capsys, *argv):
+        assert main(["ramsey", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()[3:]  # past the title and the header
+        return {cells[0]: float(cells[1]) for cells in map(str.split, lines)}
+
+    @pytest.mark.parametrize("argv, detuning", [
+        (["--detuning-khz", "50"], 50.0),
+        (["--detuning-khz", "200"], 200.0),
+        (["--beat-khz", "0"], 0.0),
+    ], ids=["detuning-50", "detuning-200", "beat-0"])
+    def test_recovers_the_simulated_trace(self, capsys, argv, detuning):
+        rows = self.printed(capsys, *argv)
+        assert rows["beat_fitted"] == pytest.approx(rows["beat_input"], abs=1.0)
+        assert rows["detuning_fitted"] == pytest.approx(detuning, abs=1.0)
+        assert rows["t2_star_fitted"] == pytest.approx(4.0, rel=0.02)
+
+    def test_long_trace_fits_quickly(self, capsys):
+        """The pencil seeds on block means, so 100000 points take well under 1.2 s."""
+        start = time.perf_counter()
+        rows = self.printed(capsys, "--points", "100000")
+        assert time.perf_counter() - start < 1.2
+        assert rows["beat_fitted"] == pytest.approx(rows["beat_input"], abs=1.0)
+        assert rows["t2_star_fitted"] == pytest.approx(4.0, rel=0.02)
 
 
 @given(content=st.one_of(st.text().map(str.encode), st.binary()))

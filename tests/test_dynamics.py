@@ -325,6 +325,13 @@ class TestRamsey:
         assert np.all(np.diff(trace.y) < 0)
         assert np.allclose(2 * trace.y - 1, np.exp(-delays / 4e-6), rtol=1e-12)
 
+    def test_beat_cannot_be_negative(self):
+        delays = np.linspace(1e-9, 12e-6, 300)
+        with pytest.raises(ValidationError, match="cannot be negative"):
+            simulate_ramsey(delays, t2_star=4e-6, beat=-741.5e3)
+        # the sign of a detuning is a direction, so it stays legal
+        simulate_ramsey(delays, t2_star=4e-6, beat=741.5e3, detuning=-50e3)
+
     def test_beat_frequency_detection(self):
         delays = np.arange(1, 3200) * 12.5e-9
         trace = simulate_ramsey(delays, t2_star=4e-6, beat=741.5e3)
@@ -339,6 +346,19 @@ class TestExtractT2Star:
         fit = extract_t2star(trace)
         assert fit.value == pytest.approx(4.0e-6, rel=0.01)
 
+    @pytest.mark.parametrize("beat, detuning", [(740e3, 0.0), (740e3, 50e3), (740e3, -200e3),
+                                                (0.0, 0.0)],
+                             ids=["default", "detuning-50k", "detuning-minus-200k", "no-beat"])
+    def test_recovers_beat_and_detuning(self, beat, detuning):
+        """Tones at beat/2 -+ detuning: beat is their sum and |detuning| half their gap."""
+        delays = np.linspace(0.05e-6, 12e-6, 960)
+        trace = simulate_ramsey(delays, t2_star=4.0e-6, beat=beat, detuning=detuning)
+        fit = extract_t2star(trace)
+        assert fit.value == pytest.approx(4.0e-6, rel=0.01)
+        assert fit.extras["beat_hz"] == pytest.approx(beat, abs=1.0)
+        assert fit.extras["detuning_hz"] == pytest.approx(abs(detuning), abs=1.0)
+        assert fit.extras["offset"] == pytest.approx(0.5, rel=1e-6)
+
     def test_matches_log_linear_on_pure_exponential(self):
         t = np.linspace(0.1e-6, 10e-6, 200)
         envelope = 0.7 * np.exp(-t / 3.3e-6)
@@ -347,11 +367,13 @@ class TestExtractT2Star:
         slope = np.polyfit(t, np.log(envelope), 1)[0]
         assert fit.value == pytest.approx(-1.0 / slope, rel=1e-9)
 
-    def test_noisy_recovery_within_two_sigma(self):
+    @pytest.mark.parametrize("detuning", [0.0, 50e3, 200e3],
+                             ids=["detuning-0", "detuning-50k", "detuning-200k"])
+    def test_noisy_recovery_within_two_sigma(self, detuning):
         """Monte Carlo calibration: estimates stay within 2 sigma of truth and
         the reported standard error covers the replica spread."""
         delays = np.linspace(0.05e-6, 12e-6, 960)
-        clean = simulate_ramsey(delays, t2_star=4.0e-6, beat=740e3)
+        clean = simulate_ramsey(delays, t2_star=4.0e-6, beat=740e3, detuning=detuning)
         estimates, errors = [], []
         for seed in range(20):
             rng = np.random.default_rng(seed)
