@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .quantities import AngularRate, OrdinaryFrequency, check_radiative_limit
-from .spectral import interior_maxima, line_fit, uniform_step
+from .spectral import interior_maxima, line_fit, modulation_spectrum
 from .trace import TimeTrace
 
 
@@ -392,35 +392,38 @@ def _pencil_seed(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Hua & Sarkar (1990), IEEE Trans. ASSP 38:814: the poles z = exp(s dt) are
     the eigenvalues of the one-row shift of the leading right singular
-    vectors of the trace's Hankel matrix H, of width n/3, here from eigh of
-    H^T H. BIC picks 2, 3 or 5 poles (the offset and a bare decay, one tone
-    or two), with the residual floored at rounding level so that a noise-free
-    trace picks no spurious order. Poles with no weight are dropped, and the
-    one nearest s = 0 is the offset unless it is the only one left. Block
-    means keep the poles: a block mean of exp(s t) is exp(s t) times a constant.
+    vectors of the trace's Hankel matrix H, of width n/3, from eigh of H^T H.
+    H's column means are removed first: the offset is the same in every row,
+    so no pole stands for it, and the fits take it as a constant column. BIC
+    picks 1, 2 or 4 poles (a bare decay, one tone or two), with the residual
+    floored at rounding level. Weightless poles are dropped. The pencil sees
+    at most _PENCIL_MAX_POINTS block means, each at most a quarter period of
+    the highest frequency above 0.1 of the spectral peak, so no tone aliases;
+    the tail past that many blocks is left out.
     """
-    block = -(-y.size // _PENCIL_MAX_POINTS)
-    n, dt = y.size // block, block * uniform_step(t)
+    amplitude = modulation_spectrum(t, y)[1]  # and checks that the grid is uniform
+    cycles = np.flatnonzero(amplitude >= 0.1 * amplitude.max())[-1]
+    block = max(1, min(-(-y.size // _PENCIL_MAX_POINTS), y.size // (4 * max(cycles, 1))))
+    n, dt = min(y.size // block, _PENCIL_MAX_POINTS), block * (t[1] - t[0])
     y = y[: n * block].reshape(n, block).mean(axis=1) / np.max(np.abs(y))
     width = n // 3
     hankel = np.lib.stride_tricks.sliding_window_view(y, width + 1)
+    hankel = hankel - hankel.mean(axis=0)
     vectors = np.linalg.eigh(hankel.T @ hankel)[1]
     best = math.inf
-    for order in [order for order in (2, 3, 5) if order <= width]:
+    for order in [order for order in (1, 2, 4) if order <= width]:
         v = vectors[:, -order:]
         z = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:]).astype(complex)
         # each column peaks at 1, where it starts or ends, so none overflows
         vander = z ** (np.arange(n)[:, None] - (n - 1) * (np.abs(z) > 1.0))
-        amp = np.linalg.lstsq(vander, y, rcond=None)[0]
-        residual = y - (vander @ amp).real
+        basis = np.column_stack([vander, np.ones(n)])
+        amp = np.linalg.lstsq(basis, y, rcond=None)[0]
+        residual = y - (basis @ amp).real
         bic = n * math.log(max(residual @ residual / n, 1e-20)) + 2 * order * math.log(n)
         if bic < best:
-            best, poles, weights = bic, z, np.abs(amp) * np.linalg.norm(vander, axis=0)
+            best, poles, weights = bic, z, np.abs(amp[:-1]) * np.linalg.norm(vander, axis=0)
     keep = weights > 1e-8 * weights.max()
     s, weights = np.log(poles[keep]) / dt, weights[keep]
-    if s.size > 1:
-        offset = np.argmin(np.abs(s))
-        s, weights = np.delete(s, offset), np.delete(weights, offset)
     tones = s[s.imag >= 0.0][np.argsort(-weights[s.imag >= 0.0])[:2]]
     if not tones.real.sum() < 0.0:
         raise FitError("envelope does not decay; cannot extract T2*")

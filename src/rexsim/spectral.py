@@ -18,18 +18,13 @@ def modulation_spectrum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 8:
         raise ValidationError("need at least 8 aligned samples")
-    signal = (y - np.mean(y)) * np.hanning(y.size)
-    amplitude = np.abs(np.fft.rfft(signal))
-    frequency = np.fft.rfftfreq(signal.size, uniform_step(x))
-    return frequency, amplitude
-
-
-def uniform_step(x: np.ndarray) -> float:
-    """The spacing of a uniformly sampled abscissa; ValidationError if it is not one."""
     steps = np.diff(x)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValidationError("samples must lie on a uniform grid")
-    return float(steps[0])
+        raise ValidationError("spectrum requires a uniform grid")
+    signal = (y - np.mean(y)) * np.hanning(y.size)
+    amplitude = np.abs(np.fft.rfft(signal))
+    frequency = np.fft.rfftfreq(signal.size, steps[0])
+    return frequency, amplitude
 
 
 def interior_maxima(a: np.ndarray) -> np.ndarray:

@@ -3,7 +3,6 @@ import errno
 import io
 import subprocess
 import sys
-import time
 import warnings
 
 import numpy as np
@@ -15,6 +14,7 @@ from rexsim import cli
 from rexsim.cli import HANDLERS, REFERENCES, build_parser, cmd_golden, main
 from rexsim.config import default_document, parse_config
 from rexsim.csvio import read_trace_csv, render_trace_csv, strip_timestamp, write_trace_csv
+from rexsim.dynamics import _PENCIL_MAX_POINTS
 from rexsim.trace import TimeTrace
 
 
@@ -220,6 +220,8 @@ class TestExitCodes:
         assert "(flags off their defaults: --q-scale=1e+308)" in capsys.readouterr().err
 
     def test_numpy_overflow_exits_4_with_one_line(self, capsys):
+        # the trace overflows to a constant, so this now guards the FitError
+        # for a flat trace; the next test covers a numpy floating-point error
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning may precede the message
             assert main(["ramsey", "--delay-max-us", "1e300"]) == 4
@@ -475,13 +477,28 @@ class TestRamsey:
         assert rows["detuning_fitted"] == pytest.approx(detuning, abs=1.0)
         assert rows["t2_star_fitted"] == pytest.approx(4.0, rel=0.02)
 
-    def test_long_trace_fits_quickly(self, capsys):
-        """The pencil seeds on block means, so 100000 points take well under 1.2 s."""
-        start = time.perf_counter()
+    def test_long_trace_seeds_on_block_means(self, capsys, monkeypatch):
+        """100000 points fit with the pencil's Hankel matrix still 1024/3 columns wide."""
+        widths, eigh = [], np.linalg.eigh
+
+        def spy(matrix):
+            widths.append(matrix.shape[0])
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
         rows = self.printed(capsys, "--points", "100000")
-        assert time.perf_counter() - start < 1.2
+        assert widths and max(widths) <= _PENCIL_MAX_POINTS // 3 + 1
         assert rows["beat_fitted"] == pytest.approx(rows["beat_input"], abs=1.0)
         assert rows["t2_star_fitted"] == pytest.approx(4.0, rel=0.02)
+
+    def test_long_dense_trace_seeds_without_aliasing(self, tmp_path, capsys):
+        """1024 block means of 3000 us would sample the 371 kHz tones every 2.93 us."""
+        config = tmp_path / "long.ini"
+        config.write_text("[simulation]\nt2_star_us = 1000\n", encoding="utf-8")
+        rows = self.printed(capsys, "--config", str(config), "--delay-max-us", "3000",
+                            "--points", "300000")
+        assert rows["beat_fitted"] == pytest.approx(rows["beat_input"], abs=1.0)
+        assert rows["t2_star_fitted"] == pytest.approx(1000.0, rel=0.01)
 
 
 @given(content=st.one_of(st.text().map(str.encode), st.binary()))

@@ -359,6 +359,22 @@ class TestExtractT2Star:
         assert fit.extras["detuning_hz"] == pytest.approx(abs(detuning), abs=1.0)
         assert fit.extras["offset"] == pytest.approx(0.5, rel=1e-6)
 
+    def test_zero_mean_fringe(self):
+        """A background-subtracted fringe has no offset; the fit needs none."""
+        t = np.linspace(0.05e-6, 12e-6, 960)
+        fit = extract_t2star(TimeTrace(x=t, y=np.exp(-t / 4e-6) * np.cos(2 * math.pi * 370e3 * t)))
+        assert fit.value == pytest.approx(4.0e-6, rel=0.01)
+        assert fit.extras["beat_hz"] == pytest.approx(740e3, abs=1.0)
+        assert fit.extras["offset"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_exponential_without_offset(self, seed):
+        t = np.linspace(0.05e-6, 12e-6, 960)
+        noise = 0.002 * np.random.default_rng(seed).standard_normal(t.size)
+        fit = extract_t2star(TimeTrace(x=t, y=np.exp(-t / 4e-6) + noise))
+        assert fit.value == pytest.approx(4.0e-6, rel=0.01)
+        assert fit.extras["beat_hz"] == 0.0
+
     def test_matches_log_linear_on_pure_exponential(self):
         t = np.linspace(0.1e-6, 10e-6, 200)
         envelope = 0.7 * np.exp(-t / 3.3e-6)
