@@ -289,6 +289,16 @@ def cmd_ramsey(args, doc: ConfigDocument) -> RunReport:
         )
         report.add("beat_input", beat / 1e3, "kHz")
     fit = dynamics.extract_t2star(trace)
+    if not args.fit_input:
+        # after the fit, so a trace that decays before its first delay stays a
+        # flat-trace FitError; a tone above the grid's Nyquist frequency aliases
+        tone, delay_max = beat / 2.0 + abs(args.detuning_khz * 1e3), args.delay_max_us * 1e-6
+        if tone * 2.0 * delay_max >= args.points:
+            raise ValidationError(
+                f"the highest tone, beat/2 + |detuning| = {tone / 1e3:.6g} kHz, is not below "
+                f"the delay grid's Nyquist frequency {args.points / (2e3 * delay_max):.6g} kHz; "
+                "raise --points or lower --delay-max-us"
+            )
     report.add("beat_fitted", fit.extras["beat_hz"] / 1e3, "kHz")
     report.add("detuning_fitted", fit.extras["detuning_hz"] / 1e3, "kHz")
     report.add("t2_star_fitted", fit.value * 1e6, "us")

@@ -1,18 +1,21 @@
 """Pulsed photon counting: emitter Monte Carlo, g2 estimation, spectral statistics.
 
 All randomness is drawn from counter-based Philox streams keyed by
-(master seed, stream id), so a seed fixes every output bit. Each uniform
-stream of the emitter is one Philox stream drawn serially in CHUNK pieces,
-which bounds the temporaries; the emitter's Poisson background is one draw.
-The SFS and the coupling histogram draw one stream per fixed-size chunk of
-bins or samples. The histogram alone maps its chunks on a thread pool, and
-its counts are the same for any number of workers.
+(master seed, stream id), so a seed fixes every output bit. The emitter
+draws its four uniform streams in CHUNK-pulse pieces, each from a generator
+set to the piece's counter, so a piece holds the same bits as that slice of
+one serial draw; the pieces run on a thread pool, a serial pass carries the
+shelving state across their boundaries, and the Poisson background, one
+serial draw, overlaps them. The SFS and the coupling histogram draw one
+stream per fixed-size chunk of bins or samples, and the histogram maps its
+chunks on the same pool. Every output is the same for any number of threads.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -21,7 +24,7 @@ from .errors import FitError, ValidationError
 from .spectral import line_fit
 from .trace import TimeTrace
 
-CHUNK = 65536
+CHUNK = 65536  # a multiple of 4: every piece starts on a Philox counter step
 
 # Fixed stream ids for the emitter draw layout.
 _STREAM_EXCITE = 0
@@ -31,21 +34,49 @@ _STREAM_RECOVER = 3
 _STREAM_BACKGROUND = 4
 
 
-def _stream(seed: int, stream_id: int) -> Generator:
-    """Independent deterministic generator for (seed, stream_id)."""
+def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must lie in [0, 2^64), got {seed}")
-    return Generator(Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
 
 
-def _uniform_below(seed: int, stream_id: int, p: float, n: int) -> np.ndarray:
-    """`random(n) < p` of stream (seed, stream_id), drawn in CHUNK pieces."""
-    rng = _stream(seed, stream_id)
-    below = np.empty(n, dtype=bool)
-    for start in range(0, n, CHUNK):
-        piece = below[start:start + CHUNK]
-        np.less(rng.random(piece.size), p, out=piece)
-    return below
+def _stream(seed: int, stream_id: int, start: int = 0) -> Generator:
+    """Generator at draw `start` of the Philox stream (seed, stream_id).
+
+    Philox4x64 turns each counter step into four 64-bit words and `random`
+    takes one word per double, so for `start` a multiple of 4 the generator
+    draws the doubles that one draw from 0 holds from index `start` on.
+    """
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return Generator(Philox(key=key, counter=start // 4))
+
+
+def _chunked_indices(total: int) -> list[tuple[int, int, int]]:
+    """(chunk_id, start, stop) partition with fixed chunk size."""
+    return [
+        (cid, start, min(start + CHUNK, total))
+        for cid, start in enumerate(range(0, total, CHUNK))
+    ]
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_jobs(jobs: list, workers: int) -> list:
+    """Results of the argument-free `jobs`, in order, on up to `workers` threads.
+
+    The pool starts one thread per queued job up to its size, and more
+    threads than CPUs gain nothing, so it holds at most `_cpu_count()`. At
+    size 1 the jobs run inline and no thread starts.
+    """
+    size = min(workers, _cpu_count())
+    if size == 1:
+        return [job() for job in jobs]
+    with ThreadPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(lambda job: job(), jobs))
 
 
 @dataclass(frozen=True)
@@ -115,6 +146,17 @@ def _shelf_activity(
     return ~edges[:n].view(bool)
 
 
+def _first_and_last(mask: np.ndarray) -> tuple[int, int]:
+    """Indices of the first and last True of `mask`, or (mask.size, -1) if none.
+
+    argmax stops at the first True, so a dense mask is read only at its ends.
+    """
+    first = int(mask.argmax())
+    if not mask[first]:
+        return mask.size, -1
+    return first, mask.size - 1 - int(mask[::-1].argmax())
+
+
 def simulate_emitter_stream(
     scheme: EmitterLevelScheme,
     background: float,
@@ -135,20 +177,52 @@ def simulate_emitter_stream(
         raise ValidationError("pulse period must be positive")
     if background < 0.0:
         raise ValidationError("background counts per pulse must be non-negative")
-    signal = _uniform_below(seed, _STREAM_EXCITE, scheme.p_excite, n_pulses)
-    if scheme.p_shelve > 0.0:
-        q_recover = -math.expm1(-scheme.shelf_recovery * period)
-        signal &= _shelf_activity(
-            signal,
-            _uniform_below(seed, _STREAM_SHELVE, scheme.p_shelve, n_pulses),
-            _uniform_below(seed, _STREAM_RECOVER, q_recover, n_pulses),
-        )
-    signal &= _uniform_below(seed, _STREAM_DETECT, scheme.p_detect, n_pulses)
-    if background > 0.0:
-        counts = _stream(seed, _STREAM_BACKGROUND).poisson(background, n_pulses)
-        counts += signal
-    else:
-        counts = signal.astype(np.int64)
+    _check_seed(seed)
+    shelving = scheme.p_shelve > 0.0
+    q_recover = -math.expm1(-scheme.shelf_recovery * period)
+    signal = np.empty(n_pulses, dtype=bool)
+    chunks = _chunked_indices(n_pulses)
+
+    def piece(start, stop):
+        """Draw signal[start:stop] as if the ion entered the piece active.
+
+        With shelving, return the piece's first recovery, last shelving
+        candidate and last recovery, relative to start (size, -1, -1: none).
+        """
+        draws = np.empty(stop - start)
+
+        def below(stream_id, p, out=None):
+            _stream(seed, stream_id, start).random(out=draws)
+            return np.less(draws, p, out=out)
+
+        emitted = below(_STREAM_EXCITE, scheme.p_excite, out=signal[start:stop])
+        walk = None
+        if shelving:
+            shelve = below(_STREAM_SHELVE, scheme.p_shelve)
+            recover = below(_STREAM_RECOVER, q_recover)
+            first_recovery, last_recovery = _first_and_last(recover)
+            walk = first_recovery, _first_and_last(emitted & shelve)[1], last_recovery
+            emitted &= _shelf_activity(emitted, shelve, recover)
+        emitted &= below(_STREAM_DETECT, scheme.p_detect)
+        return walk
+
+    jobs = [partial(piece, start, stop) for _, start, stop in chunks]
+    if background > 0.0:  # one serial draw: a pulse takes a varying number of doubles
+        jobs.insert(0, partial(_stream(seed, _STREAM_BACKGROUND).poisson, background, n_pulses))
+    results = _run_jobs(jobs, _cpu_count())
+    counts = results.pop(0) if background > 0.0 else np.zeros(n_pulses, dtype=np.int64)
+    if shelving:
+        # the ion enters a piece dark when the last shelving candidate before
+        # it is at or after the last recovery, and stays dark to its first one
+        last_candidate, last_recovery = -1, 0
+        for (_, start, _), (first_recovery, candidate, recovery) in zip(chunks, results):
+            if last_candidate >= last_recovery:
+                signal[start:start + first_recovery] = False
+            if candidate >= 0:
+                last_candidate = start + candidate
+            if recovery >= 0:
+                last_recovery = start + recovery
+    counts += signal
     return CountRecord(counts=counts, period=period, seed=seed)
 
 
@@ -288,14 +362,6 @@ def shelving_lag_analytic(
     return period / (shelf_recovery * period - math.log1p(-p))
 
 
-def _chunked_indices(total: int) -> list[tuple[int, int, int]]:
-    """(chunk_id, start, stop) partition with fixed chunk size."""
-    return [
-        (cid, start, min(start + CHUNK, total))
-        for cid, start in enumerate(range(0, total, CHUNK))
-    ]
-
-
 def sfs_generate(
     amplitude: float,
     exponent: float,
@@ -318,6 +384,9 @@ def sfs_generate(
     n_bins = int(math.floor((detuning_max - detuning_min) / bin_width))
     if n_bins < 1:
         raise ValidationError("detuning range shorter than one bin")
+    if n_bins >= 2**59:  # as the CLI's count flags: numpy raises ValueError at 2^60 doubles
+        raise ValidationError(f"detuning range holds {n_bins:.3g} bins, not below 2^59")
+    _check_seed(seed)
     centers = detuning_min + bin_width * (np.arange(n_bins) + 0.5)
     expected = amplitude * centers ** (-exponent)
     if not expected.max() < 1e18:  # numpy's Poisson sampler draws int64 counts
@@ -357,6 +426,7 @@ def coupling_histogram(samples: int, seed: int, bins: int = 25, workers: int = 1
         raise ValidationError("need at least 1000 samples for a stable histogram")
     if bins < 2:
         raise ValidationError("need at least 2 bins")
+    _check_seed(seed)
     edges = np.linspace(0.0, 1.0, bins + 1)
 
     def draw(chunk):
@@ -371,10 +441,8 @@ def coupling_histogram(samples: int, seed: int, bins: int = 25, workers: int = 1
         hist, _ = np.histogram(pl, bins=edges)
         return hist
 
-    # the pool starts one thread per queued chunk up to max_workers, and more
-    # threads than cores gain nothing: the counts are the same for any count
-    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        hist = np.sum(list(pool.map(draw, _chunked_indices(samples))), axis=0)
+    jobs = [partial(draw, chunk) for chunk in _chunked_indices(samples)]
+    hist = np.sum(_run_jobs(jobs, workers), axis=0)  # the same for any workers
     centers = 0.5 * (edges[:-1] + edges[1:])
     return TimeTrace(
         x=centers,

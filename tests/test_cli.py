@@ -126,10 +126,11 @@ class TestExitCodes:
         (["g2", "--pulses", "100000000000000"], 4),
         (["histogram", "--bins", "100000000000000"], 4),
         (["sfs", "--bin-mhz", "1e-9"], 4),
+        (["sfs", "--delta-max-ghz", "1e300"], 3),
     ], ids=["g2-seed", "sfs-seed", "histogram-seed", "seed-2^64", "ini-seed-1e300",
             "delta-max-inf", "t-min-nan", "negative-beat", "rabi-points", "ramsey-points",
             "echo-points", "spinbath-points", "flipflop-points", "g2-pulses", "histogram-bins",
-            "sfs-bin-width"])
+            "sfs-bin-width", "sfs-bins-2^59"])
     def test_out_of_range_input_exits_cleanly(self, tmp_path, capsys, argv, code):
         seed_ini = tmp_path / "seed.ini"
         seed_ini.write_text("[simulation]\nseed = 1e300\n", encoding="utf-8")
@@ -476,6 +477,15 @@ class TestRamsey:
         assert rows["beat_fitted"] == pytest.approx(rows["beat_input"], abs=1.0)
         assert rows["detuning_fitted"] == pytest.approx(detuning, abs=1.0)
         assert rows["t2_star_fitted"] == pytest.approx(4.0, rel=0.02)
+
+    @pytest.mark.parametrize("beat_khz", ["1e9", "1e300"])
+    def test_tone_above_the_grid_nyquist_exits_3(self, capsys, beat_khz):
+        """An aliased tone would be fitted as if it were real (1e9 kHz fitted 0)."""
+        assert main(["ramsey", "--beat-khz", beat_khz]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--points" in err and "--delay-max-us" in err
 
     def test_long_trace_seeds_on_block_means(self, capsys, monkeypatch):
         """100000 points fit with the pencil's Hankel matrix still 1024/3 columns wide."""

@@ -1,5 +1,5 @@
 import math
-import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +25,13 @@ from rexsim.photonstats import (
 
 PERIOD = 40e-6  # 25 kHz repetition
 NO_BACKGROUND = 0.0
+
+
+class NoPool:
+    """Stands in for ThreadPoolExecutor where no thread may start."""
+
+    def __init__(self, max_workers):
+        raise AssertionError(f"a pool of {max_workers} threads started")
 
 
 def poisson_record(mean: float, n: int, seed: int) -> CountRecord:
@@ -271,6 +278,7 @@ class TestCouplingHistogram:
 
     def test_threads_bounded_by_cpu_count(self, monkeypatch):
         """A huge worker count must not start a thread per chunk."""
+        monkeypatch.setattr(photonstats, "_cpu_count", lambda: 4)
         requested = []
 
         class SerialPool:
@@ -289,8 +297,25 @@ class TestCouplingHistogram:
         monkeypatch.setattr(photonstats, "ThreadPoolExecutor", SerialPool)
         bounded = coupling_histogram(200_000, seed=46, workers=10**6)
         serial = coupling_histogram(200_000, seed=46, workers=1)
-        assert requested[0] <= (os.cpu_count() or 1)
+        assert requested == [4]
         assert np.array_equal(bounded.extra["count"], serial.extra["count"])
+
+    def test_pool_size_one_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(photonstats, "ThreadPoolExecutor", NoPool)
+        coupling_histogram(200_000, seed=46, workers=1)
+        monkeypatch.setattr(photonstats, "_cpu_count", lambda: 1)
+        coupling_histogram(200_000, seed=46, workers=4)
+        scheme = EmitterLevelScheme(p_excite=0.55, p_detect=0.3, p_shelve=0.1)
+        simulate_emitter_stream(scheme, 0.05, 3 * CHUNK, PERIOD, seed=46)
+
+    def test_seed_checked_before_any_thread(self, monkeypatch):
+        monkeypatch.setattr(photonstats, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(photonstats, "_cpu_count", lambda: 2)
+        scheme = EmitterLevelScheme(p_excite=0.55, p_detect=0.3, p_shelve=0.1)
+        with pytest.raises(ValidationError, match="seed"):
+            coupling_histogram(200_000, seed=-1, workers=2)
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_emitter_stream(scheme, 0.05, 3 * CHUNK, PERIOD, seed=2**64)
 
     def test_sample_floor(self):
         with pytest.raises(ValidationError):
@@ -404,11 +429,42 @@ class TestChunkedDraws:
     N = 3 * CHUNK + 5
 
     @pytest.mark.parametrize("stream_id", [0, 1, 2, 3])
-    def test_chunks_join_into_the_single_draw(self, stream_id):
-        """Consecutive CHUNK-sized draws continue one Philox stream."""
-        expected = single_draw_below(77, stream_id, 0.3, self.N)
-        drawn = photonstats._uniform_below(77, stream_id, 0.3, self.N)
-        assert np.array_equal(drawn, expected)
+    def test_piece_equals_its_slice_of_the_single_draw(self, stream_id):
+        """A generator set to a piece's counter draws that slice of one Philox draw."""
+        key = np.array([77, stream_id], dtype=np.uint64)
+        single = np.random.Generator(np.random.Philox(key=key)).random(self.N)
+        for start in (0, CHUNK, 3 * CHUNK):
+            piece = photonstats._stream(77, stream_id, start).random(self.N - start)
+            assert np.array_equal(piece, single[start:])
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("pool_size", [1, 2, 3])
+    def test_record_independent_of_pool_size(self, monkeypatch, pool_size, n):
+        """At 10 Hz recovery dark runs span about 2500 pulses and cross pieces."""
+        monkeypatch.setattr(photonstats, "_cpu_count", lambda: pool_size)
+        scheme = EmitterLevelScheme(
+            p_excite=0.55, p_detect=0.3, p_shelve=0.1, shelf_recovery=10.0
+        )
+        expected = reference_stream(scheme, 0.05, n, PERIOD, 12345)
+        record = simulate_emitter_stream(scheme, 0.05, n, PERIOD, 12345)
+        assert np.array_equal(record.counts, expected)
+
+    def test_pieces_stay_apart_under_frequent_thread_switches(self, monkeypatch):
+        """Eight threads write disjoint slices of one array, switching every microsecond."""
+        monkeypatch.setattr(photonstats, "_cpu_count", lambda: 8)
+        scheme = EmitterLevelScheme(
+            p_excite=0.55, p_detect=0.3, p_shelve=0.1, shelf_recovery=10.0
+        )
+        n = 6 * CHUNK + 3
+        expected = reference_stream(scheme, 0.05, n, PERIOD, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                record = simulate_emitter_stream(scheme, 0.05, n, PERIOD, 5)
+                assert np.array_equal(record.counts, expected)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("p_shelve, background", [(0.0, 0.0), (0.1, 0.0), (0.1, 0.05)])
     def test_stream_matches_single_draw_reference(self, p_shelve, background):
