@@ -2,11 +2,14 @@
 
 All randomness is drawn from counter-based Philox streams keyed by
 (master seed, stream id), so a seed fixes every output bit. The emitter
-draws its four uniform streams in CHUNK-pulse pieces, each from a generator
-set to the piece's counter, so a piece holds the same bits as that slice of
-one serial draw; the pieces run on a thread pool, a serial pass carries the
-shelving state across their boundaries, and the Poisson background, one
-serial draw, overlaps them. The SFS and the coupling histogram draw one
+draws its uniform streams in CHUNK-pulse pieces, each from a generator set
+to the piece's counter, so a piece holds the same bits as that slice of one
+serial draw; the pieces run on a thread pool, and a serial pass carries the
+shelving state across their boundaries. Below STITCH_MAX_BACKGROUND the
+pieces also draw the Poisson background's doubles, and a serial stitch turns
+them into the counts of one `poisson` draw; above it that one draw overlaps
+the pieces. g2 finds the nonzero pulses piece by piece and sums their pairs
+in one range of them per thread. The SFS and the coupling histogram draw one
 stream per fixed-size chunk of bins or samples, and the histogram maps its
 chunks on the same pool. Every output is the same for any number of threads.
 """
@@ -157,6 +160,87 @@ def _first_and_last(mask: np.ndarray) -> tuple[int, int]:
     return first, mask.size - 1 - int(mask[::-1].argmax())
 
 
+# Mean background per pulse below which the emitter pieces draw the
+# background's doubles and `_background_pulses` stitches them into counts;
+# at or above it one serial `poisson` call draws them. numpy takes means below
+# 10 by Knuth's product of uniforms, so it must lie below 10; the stitch's
+# serial part grows with the share of doubles above exp(-mean). On 5M pulses
+# (numpy 2.4, 2-core x86-64, medians of 7) stitch/poisson time was, for the
+# background alone on one thread, 39/76 ms at 0.01, 62/92 ms at 0.05,
+# 86/83 ms at 0.1 and 501/192 ms at 1; for the whole plain emitter on two
+# threads, 75/92 ms at 0.02, 94/121 ms at 0.05 and 129/98 ms at 0.1.
+STITCH_MAX_BACKGROUND = 0.05
+
+
+def _pulse_bounds(
+    positions: np.ndarray, values: np.ndarray, enlam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which hot doubles start a background pulse, and which end one.
+
+    numpy draws a mean below 10 by Knuth's product of uniforms: each pulse
+    multiplies doubles into a product that starts at 1, counts one per
+    factor that leaves it above enlam = exp(-mean), and ends at the first
+    that does not. A "hot" double, above enlam, therefore starts a pulse
+    after a cold one, and a cold double always ends one; inside a run of
+    consecutive hot doubles the running product, multiplied left to right
+    as numpy does, ends pulses. `positions` and `values` hold the hot
+    doubles of the stream in order.
+    """
+    starts = np.ones(positions.size, dtype=bool)
+    np.not_equal(positions[1:], positions[:-1] + 1, out=starts[1:])
+    ends = np.zeros(positions.size, dtype=bool)
+    first = np.flatnonzero(starts)
+    length = np.diff(first, append=positions.size)
+    first, length = first[length > 1], length[length > 1]
+    prod = values[first]
+    for k in range(1, int(length.max(initial=1))):
+        alive = length > k
+        first, length, prod = first[alive], length[alive], prod[alive]
+        prod *= values[first + k]
+        end = prod <= enlam
+        ends[first[end] + k] = True
+        prod[end] = 1.0
+    starts[1:] |= ends[:-1]
+    return starts, ends
+
+
+def _background_pulses(
+    seed: int, mean: float, n: int, hot: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pulse indices and counts of the nonzero pulses of the background draw.
+
+    They equal those of `_stream(seed, 4).poisson(mean, n)` for a mean below
+    10. `hot` holds the positions and values of the hot doubles (see
+    `_pulse_bounds`) among the stream's first n, piece by piece in order.
+    The draw takes one double per pulse plus one per count, so the stream
+    goes on from n until n pulses have ended.
+    """
+    enlam = math.exp(-mean)
+    extension = _stream(seed, _STREAM_BACKGROUND, n)
+    extension.random(n % 4)  # the counter steps four doubles at a time
+    hot, drawn = list(hot), n
+    short = n * mean  # the doubles the counts take, on average
+    while True:
+        more = extension.random(math.ceil(short + 6.0 * math.sqrt(short)) + 16)
+        i = np.flatnonzero(more > enlam)
+        hot.append((i + drawn, more[i]))
+        drawn += more.size
+        positions, values = (np.concatenate(part) for part in zip(*hot))
+        starts, ends = _pulse_bounds(positions, values, enlam)
+        counted = np.cumsum(~ends)  # a pulse's first double counts, an ending one not
+        ended = drawn - int(counted[-1]) if counted.size else drawn
+        if ended >= n:
+            break
+        short = (n - ended) * (1.0 + mean)
+    # the doubles before a pulse are its index plus the counts before it
+    first = np.flatnonzero(starts)
+    before = counted[first] - 1
+    index = positions[first] - before
+    count = np.diff(before, append=counted[-1:])
+    kept = index < n  # pulse n and later may be cut off at the end of the draw
+    return index[kept], count[kept]
+
+
 def simulate_emitter_stream(
     scheme: EmitterLevelScheme,
     background: float,
@@ -175,27 +259,31 @@ def simulate_emitter_stream(
         raise ValidationError("need at least one pulse")
     if period <= 0.0:
         raise ValidationError("pulse period must be positive")
-    if background < 0.0:
-        raise ValidationError("background counts per pulse must be non-negative")
+    if not 0.0 <= background < 1e18:  # numpy's Poisson sampler draws int64 counts
+        raise ValidationError(
+            f"background counts per pulse must lie in [0, 1e18), got {background:.3g}")
     _check_seed(seed)
     shelving = scheme.p_shelve > 0.0
     q_recover = -math.expm1(-scheme.shelf_recovery * period)
-    signal = np.empty(n_pulses, dtype=bool)
+    stitch = 0.0 < background < STITCH_MAX_BACKGROUND
+    enlam = math.exp(-background)  # the libm exp numpy's sampler calls
+    counts = np.empty(n_pulses, dtype=np.int64)
     chunks = _chunked_indices(n_pulses)
 
     def piece(start, stop):
-        """Draw signal[start:stop] as if the ion entered the piece active.
+        """Draw counts[start:stop] as if the ion entered the piece active.
 
-        With shelving, return the piece's first recovery, last shelving
-        candidate and last recovery, relative to start (size, -1, -1: none).
+        With shelving, the walk is the piece's first recovery, last shelving
+        candidate and last recovery, relative to start (size, -1, -1: none);
+        with a stitched background, the hot doubles are the positions and
+        values of the piece's background doubles above enlam.
         """
         draws = np.empty(stop - start)
 
-        def below(stream_id, p, out=None):
-            _stream(seed, stream_id, start).random(out=draws)
-            return np.less(draws, p, out=out)
+        def below(stream_id, p):
+            return _stream(seed, stream_id, start).random(out=draws) < p
 
-        emitted = below(_STREAM_EXCITE, scheme.p_excite, out=signal[start:stop])
+        emitted = below(_STREAM_EXCITE, scheme.p_excite)
         walk = None
         if shelving:
             shelve = below(_STREAM_SHELVE, scheme.p_shelve)
@@ -204,25 +292,37 @@ def simulate_emitter_stream(
             walk = first_recovery, _first_and_last(emitted & shelve)[1], last_recovery
             emitted &= _shelf_activity(emitted, shelve, recover)
         emitted &= below(_STREAM_DETECT, scheme.p_detect)
-        return walk
+        counts[start:stop] = emitted
+        hot = None
+        if stitch:
+            _stream(seed, _STREAM_BACKGROUND, start).random(out=draws)
+            i = np.flatnonzero(draws > enlam)
+            hot = i + start, draws[i]
+        return walk, hot
 
     jobs = [partial(piece, start, stop) for _, start, stop in chunks]
-    if background > 0.0:  # one serial draw: a pulse takes a varying number of doubles
+    serial = background >= STITCH_MAX_BACKGROUND
+    if serial:
         jobs.insert(0, partial(_stream(seed, _STREAM_BACKGROUND).poisson, background, n_pulses))
     results = _run_jobs(jobs, _cpu_count())
-    counts = results.pop(0) if background > 0.0 else np.zeros(n_pulses, dtype=np.int64)
+    drawn = results.pop(0) if serial else None
+    walks, hots = zip(*results)
     if shelving:
         # the ion enters a piece dark when the last shelving candidate before
         # it is at or after the last recovery, and stays dark to its first one
         last_candidate, last_recovery = -1, 0
-        for (_, start, _), (first_recovery, candidate, recovery) in zip(chunks, results):
+        for (_, start, _), (first_recovery, candidate, recovery) in zip(chunks, walks):
             if last_candidate >= last_recovery:
-                signal[start:start + first_recovery] = False
+                counts[start:start + first_recovery] = 0
             if candidate >= 0:
                 last_candidate = start + candidate
             if recovery >= 0:
                 last_recovery = start + recovery
-    counts += signal
+    if serial:
+        counts += drawn
+    elif stitch:
+        index, count = _background_pulses(seed, background, n_pulses, hots)
+        counts[index] += count
     return CountRecord(counts=counts, period=period, seed=seed)
 
 
@@ -243,15 +343,34 @@ def g2_zero_analytic(signal_fraction: float) -> float:
 SPARSE_MAX_OCCUPANCY = 0.1
 
 
+def _pair_sums(idx: np.ndarray, w: np.ndarray, lo: int, hi: int, max_lag: int) -> np.ndarray:
+    """sum of w_i w_j per lag idx_j - idx_i in 1 .. max_lag, over events lo <= i < hi.
+
+    Pass k adds the products of every k-th neighbour pair into the bin of its
+    lag, and stops once no such pair lies within max_lag.
+    """
+    stop = int(np.searchsorted(idx, idx[hi - 1] + max_lag, side="right"))
+    idx, w = idx[lo:stop], w[lo:stop]
+    out = np.zeros(max_lag + 1)
+    for k in range(1, idx.size):
+        left = min(hi - lo, idx.size - k)
+        lag = idx[k:k + left] - idx[:left]
+        close = lag <= max_lag
+        if not close.any():
+            break
+        out += np.bincount(lag[close], (w[k:k + left] * w[:left])[close], minlength=max_lag + 1)
+    return out
+
+
 def _coincidences(counts: np.ndarray, max_lag: int) -> np.ndarray:
     """sum_i n_i n_{i+m} for m = 1 .. max_lag and sum_i n_i (n_i - 1) at m = 0.
 
-    Sparse records pair up their nonzero pulses: pass k adds the products of
-    every k-th neighbour pair into the bin of its lag, and stops once no such
-    pair lies within max_lag. Dense records take one dot product per lag. The
-    sums are integers below 2^53, so both paths give the same floats, and
-    every 64th pulse is enough to pick the faster one: a full count would
-    add a pass over the record to the dense path.
+    Sparse records pair up their nonzero pulses: the pool finds them piece by
+    piece, then sums the pairs of one contiguous range of them per thread.
+    Dense records take one dot product per lag. The sums are integers below
+    2^53, so both paths and any split give the same floats, and every 64th
+    pulse is enough to pick the faster path: a full count would add a pass
+    over the record to the dense path.
     """
     sample = counts[::64]
     if np.count_nonzero(sample) > SPARSE_MAX_OCCUPANCY * sample.size:
@@ -261,16 +380,21 @@ def _coincidences(counts: np.ndarray, max_lag: int) -> np.ndarray:
         for m in range(1, max_lag + 1):
             out[m] = float(np.dot(c[:-m], c[m:]))
         return out
-    idx = np.flatnonzero(counts)
+
+    def nonzero(start, stop):
+        return np.flatnonzero(counts[start:stop]) + start
+
+    workers = _cpu_count()
+    chunks = [partial(nonzero, start, stop) for _, start, stop in _chunked_indices(counts.size)]
+    idx = np.concatenate(_run_jobs(chunks, workers))
     w = counts[idx]
+    bounds = [idx.size * part // workers for part in range(workers + 1)]
+    parts = [partial(_pair_sums, idx, w, lo, hi, max_lag)
+             for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
     out = np.zeros(max_lag + 1)
+    for part in _run_jobs(parts, workers):
+        out += part
     out[0] = float(np.dot(w, w) - w.sum())
-    for k in range(1, idx.size):
-        lag = idx[k:] - idx[:-k]
-        close = lag <= max_lag
-        if not close.any():
-            break
-        out += np.bincount(lag[close], (w[k:] * w[:-k])[close], minlength=max_lag + 1)
     return out
 
 

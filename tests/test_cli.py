@@ -165,6 +165,15 @@ class TestExitCodes:
         assert main(["sfs", "--config", str(config)]) == 3
         assert "below 1e18" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("background", ["1e18", "1e19"])
+    def test_huge_background_exits_3(self, tmp_path, capsys, background):
+        config = tmp_path / "huge.ini"
+        config.write_text(f"[simulation]\nbackground_per_pulse = {background}\n", encoding="utf-8")
+        assert main(["g2", "--config", str(config)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "[0, 1e18)" in err
+
     @pytest.mark.parametrize("text", [
         "[material]\nrefractive_index = nan\n",
         "[cavity]\nq_factor = inf\n",

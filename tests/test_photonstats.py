@@ -12,6 +12,7 @@ from rexsim import photonstats
 from rexsim.photonstats import (
     CHUNK,
     SPARSE_MAX_OCCUPANCY,
+    STITCH_MAX_BACKGROUND,
     CountRecord,
     EmitterLevelScheme,
     bunching_lag_constant,
@@ -88,6 +89,12 @@ class TestEmitterStream:
         scheme = EmitterLevelScheme(p_excite=0.5, p_detect=0.5)
         with pytest.raises(ValidationError, match="background counts per pulse"):
             simulate_emitter_stream(scheme, -0.01, 1000, PERIOD, seed=1)
+
+    @pytest.mark.parametrize("background", [1e18, 1e19, math.inf, math.nan])
+    def test_rejects_background_numpy_cannot_draw(self, background):
+        scheme = EmitterLevelScheme(p_excite=0.5, p_detect=0.5)
+        with pytest.raises(ValidationError, match=r"\[0, 1e18\)"):
+            simulate_emitter_stream(scheme, background, 1000, PERIOD, seed=1)
 
 
 class TestG2Estimator:
@@ -307,6 +314,9 @@ class TestCouplingHistogram:
         coupling_histogram(200_000, seed=46, workers=4)
         scheme = EmitterLevelScheme(p_excite=0.55, p_detect=0.3, p_shelve=0.1)
         simulate_emitter_stream(scheme, 0.05, 3 * CHUNK, PERIOD, seed=46)
+        simulate_emitter_stream(scheme, 0.001, 3 * CHUNK, PERIOD, seed=46)
+        sparse = poisson_record(0.02, 3 * CHUNK, seed=46)
+        g2_estimator(sparse, 100, min_norm_coincidences=0.0)
 
     def test_seed_checked_before_any_thread(self, monkeypatch):
         monkeypatch.setattr(photonstats, "ThreadPoolExecutor", NoPool)
@@ -425,6 +435,11 @@ class TestShelvingWalk:
         assert self.walk(12, [1, 3, 4, 6], [6, 10]) == [2, 3, 4, 5, 7, 8, 9]
 
 
+# 0.001 is stitched from the pieces' draws whichever side of the crossover
+# 0.05 falls on
+BACKGROUNDS = (0.05, 0.001)
+
+
 class TestChunkedDraws:
     N = 3 * CHUNK + 5
 
@@ -445,9 +460,10 @@ class TestChunkedDraws:
         scheme = EmitterLevelScheme(
             p_excite=0.55, p_detect=0.3, p_shelve=0.1, shelf_recovery=10.0
         )
-        expected = reference_stream(scheme, 0.05, n, PERIOD, 12345)
-        record = simulate_emitter_stream(scheme, 0.05, n, PERIOD, 12345)
-        assert np.array_equal(record.counts, expected)
+        for background in BACKGROUNDS:
+            expected = reference_stream(scheme, background, n, PERIOD, 12345)
+            record = simulate_emitter_stream(scheme, background, n, PERIOD, 12345)
+            assert np.array_equal(record.counts, expected)
 
     def test_pieces_stay_apart_under_frequent_thread_switches(self, monkeypatch):
         """Eight threads write disjoint slices of one array, switching every microsecond."""
@@ -456,13 +472,14 @@ class TestChunkedDraws:
             p_excite=0.55, p_detect=0.3, p_shelve=0.1, shelf_recovery=10.0
         )
         n = 6 * CHUNK + 3
-        expected = reference_stream(scheme, 0.05, n, PERIOD, 5)
+        expected = {bg: reference_stream(scheme, bg, n, PERIOD, 5) for bg in BACKGROUNDS}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                record = simulate_emitter_stream(scheme, 0.05, n, PERIOD, 5)
-                assert np.array_equal(record.counts, expected)
+                for background in BACKGROUNDS:
+                    record = simulate_emitter_stream(scheme, background, n, PERIOD, 5)
+                    assert np.array_equal(record.counts, expected[background])
         finally:
             sys.setswitchinterval(interval)
 
@@ -475,6 +492,37 @@ class TestChunkedDraws:
         record = simulate_emitter_stream(scheme, background, self.N, PERIOD, 12345)
         assert record.counts.dtype == np.int64
         assert np.array_equal(record.counts, expected)
+
+
+DARK = EmitterLevelScheme(p_excite=0.0, p_detect=0.5)  # the record is the background
+
+
+class TestBackgroundDraw:
+    """Stitched from the pieces or drawn serially, the background is one Poisson draw."""
+
+    @pytest.mark.parametrize("n", [1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("mean", [
+        1e-6, 1e-3, 0.02, np.nextafter(STITCH_MAX_BACKGROUND, 0.0), STITCH_MAX_BACKGROUND,
+        3.0, 9.99, 10.0, 12.0,
+    ])
+    def test_equals_one_poisson_draw(self, mean, n):
+        for seed in (12345, 2**64 - 1):
+            record = simulate_emitter_stream(DARK, mean, n, PERIOD, seed)
+            assert np.array_equal(record.counts, reference_stream(DARK, mean, n, PERIOD, seed))
+
+    @pytest.mark.parametrize("pool_size", [1, 2, 3])
+    def test_stitch_at_a_large_mean(self, monkeypatch, pool_size):
+        """At mean 0.3 a quarter of the doubles are hot: runs are long and cross n."""
+        monkeypatch.setattr(photonstats, "STITCH_MAX_BACKGROUND", 10.0)
+        monkeypatch.setattr(photonstats, "_cpu_count", lambda: pool_size)
+        mean, seed = 0.3, 7
+        key = np.array([seed, 4], dtype=np.uint64)
+        hot = np.random.Generator(np.random.Philox(key=key)).random(4 * CHUNK) > math.exp(-mean)
+        n = 3 * CHUNK + int(np.flatnonzero(hot[3 * CHUNK - 1:-1] & hot[3 * CHUNK:])[0])
+        assert hot[n - 1] and hot[n]  # the draw goes on past n inside a hot run
+        assert np.any(hot[:n - 5] & hot[1:n - 4] & hot[2:n - 3] & hot[3:n - 2] & hot[4:n - 1])
+        record = simulate_emitter_stream(DARK, mean, n, PERIOD, seed)
+        assert np.array_equal(record.counts, reference_stream(DARK, mean, n, PERIOD, seed))
 
 
 class TestSparseCoincidences:
@@ -493,10 +541,27 @@ class TestSparseCoincidences:
         dense = np.count_nonzero(counts) / counts.size > SPARSE_MAX_OCCUPANCY
         assert dense == (occupancy == 1.0)
         expected = reference_coincidences(counts, max_lag)
-        assert np.array_equal(photonstats._coincidences(counts, max_lag), expected)
-        for forced in (0.0, 1.0):  # 0: always the dot loop, 1: always the pair sum
-            monkeypatch.setattr(photonstats, "SPARSE_MAX_OCCUPANCY", forced)
-            assert np.array_equal(photonstats._coincidences(counts, max_lag), expected)
+        for pool_size in (1, 2, 3):
+            monkeypatch.setattr(photonstats, "_cpu_count", lambda: pool_size)
+            # 0: always the dot loop, 1: always the pair sum
+            for threshold in (SPARSE_MAX_OCCUPANCY, 0.0, 1.0):
+                monkeypatch.setattr(photonstats, "SPARSE_MAX_OCCUPANCY", threshold)
+                assert np.array_equal(photonstats._coincidences(counts, max_lag), expected)
+
+    @pytest.mark.parametrize("pool_size", [1, 2, 3])
+    def test_pairs_across_part_boundaries(self, monkeypatch, pool_size):
+        """Each thread sums the pairs its events start; their partners lie past its part."""
+        monkeypatch.setattr(photonstats, "_cpu_count", lambda: pool_size)
+        counts = np.zeros(2 * CHUNK, dtype=np.int64)
+        counts[::21] = np.resize([1, 2, 3], counts[::21].size)  # 1, 2 or 3 every 21 pulses
+        sample = counts[::64]
+        assert np.count_nonzero(sample) <= SPARSE_MAX_OCCUPANCY * sample.size
+        events = np.flatnonzero(counts)
+        bounds = [events.size * part // pool_size for part in range(1, pool_size)]
+        assert all(events[b] - events[b - 1] <= 100 for b in bounds)
+        expected = reference_coincidences(counts, 100)
+        assert np.count_nonzero(expected) == 5  # lags 0, 21, 42, 63 and 84
+        assert np.array_equal(photonstats._coincidences(counts, 100), expected)
 
     def test_estimator_identical_on_either_path(self, monkeypatch):
         record = CountRecord(counts=self.record(0.5, 0.05, 200_000), period=PERIOD, seed=0)
