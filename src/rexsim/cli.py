@@ -242,7 +242,7 @@ def cmd_budget(args, doc: ConfigDocument) -> RunReport:
 
 
 def cmd_rabi(args, doc: ConfigDocument) -> RunReport:
-    pulse = doc.si("simulation", "pulse_ns") if args.pulse_ns is None else args.pulse_ns * 1e-9
+    pulse = doc.si("simulation", "pulse_ns")
     report = RunReport("Rabi nutation")
     if args.fit_input:
         trace = read_trace_csv(args.fit_input)
@@ -387,9 +387,7 @@ def cmd_sfs(args, doc: ConfigDocument) -> RunReport:
 
 def cmd_histogram(args, doc: ConfigDocument) -> RunReport:
     seed = args.seed if args.seed is not None else doc.seed()
-    trace = photonstats.coupling_histogram(
-        samples=args.samples, seed=seed, bins=args.bins, workers=args.workers
-    )
+    trace = photonstats.coupling_histogram(samples=args.samples, seed=seed, bins=args.bins)
     report = RunReport("coupling-strength (PL intensity) histogram", curve=trace)
     report.add("samples", float(args.samples), "")
     report.add("dim_fraction", float(trace.y[0]), "")
@@ -519,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rabi", parents=[writes], help="Rabi nutation versus photon number")
     p.add_argument("--nbar-max", type=float, default=0.2)
     p.add_argument("--points", type=_count, default=400)
-    p.add_argument("--pulse-ns", type=float, default=None)
     p.add_argument("--fit-input", help="fit an existing rabi CSV instead of simulating")
 
     p = sub.add_parser("ramsey", parents=[writes], help="Ramsey fringes and T2* extraction")
@@ -552,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("histogram", parents=[monte_carlo], help="ion-cavity coupling histogram")
     p.add_argument("--samples", type=_count, default=200_000)
     p.add_argument("--bins", type=_count, default=25)
-    p.add_argument("--workers", type=_count, default=1)
 
     p = sub.add_parser("spinbath", parents=[writes], help="superhyperfine splitting table")
     p.add_argument("--points", type=_count, default=100)
@@ -591,10 +587,9 @@ def main(argv=None) -> int:
     flags = [f"--{k.replace('_', '-')}={v}" for k, v in vars(args).items() if v != defaults[k]]
     blame = ""
     try:
-        # every float flag before it reaches a grid; cmd_rabi checks the pulse
-        # it resolves from --pulse-ns, the config or a --fit-input CSV
+        # every float flag before it reaches a grid
         for name, value in vars(args).items():
-            if isinstance(value, float) and name != "pulse_ns" and not math.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
         doc = parse_config(args.config) if args.config else default_document()
         off = [f"{what} off their defaults: {', '.join(names)}"

@@ -1,13 +1,12 @@
 """CSV emission and ingestion for traces.
 
-Every file starts with '#'-prefixed metadata (tool version, subcommand,
-timestamp, seed, full parameter echo) followed by a single header row.
-Numbers are written with repr(), the shortest round-trip decimal form, so
-reruns with identical parameters and seed are byte-identical apart from the
-timestamp line.
+Every file starts with '#'-prefixed metadata (tool version, subcommand and
+one `# param name = value` line per metadata entry, the seed of a Monte
+Carlo trace among them) followed by a single header row. Numbers are written
+with repr(), the shortest round-trip decimal form, and nothing else enters a
+file, so reruns with identical parameters and seed are byte-identical.
 """
 
-import datetime
 import io
 
 import numpy as np
@@ -28,10 +27,6 @@ def render_trace_csv(trace: TimeTrace, subcommand: str) -> str:
     out = io.StringIO()
     out.write(f"# rexsim {__version__}\n")
     out.write(f"# subcommand: {subcommand}\n")
-    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    out.write(f"# timestamp: {now}\n")
-    if "seed" in trace.metadata:
-        out.write(f"# seed: {trace.metadata['seed']}\n")
     for name in sorted(trace.metadata):
         out.write(f"# param {name} = {_format(trace.metadata[name])}\n")
     columns = [f"{trace.x_name}_{trace.x_unit}", f"{trace.y_name}_{trace.y_unit}"]
@@ -65,13 +60,6 @@ def read_trace_csv(path: str) -> TimeTrace:
                 if body.startswith("param "):
                     name, _, value = body[len("param "):].partition("=")
                     metadata[name.strip()] = _parse_meta_value(value.strip())
-                elif body.startswith("seed:"):
-                    try:
-                        metadata["seed"] = int(body.split(":", 1)[1])
-                    except ValueError:
-                        raise ValidationError(
-                            f"{path}: line {lineno}: non-integer seed in '{line}'"
-                        ) from None
                 continue
             cells = line.split(",")
             if header is None:
@@ -116,9 +104,3 @@ def _parse_meta_value(text: str):
         return int(number)
     return number
 
-
-def strip_timestamp(csv_text: str) -> str:
-    """Drop the timestamp metadata line (rerun comparisons ignore it)."""
-    return "\n".join(
-        line for line in csv_text.splitlines() if not line.startswith("# timestamp:")
-    )

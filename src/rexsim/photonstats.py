@@ -537,14 +537,16 @@ def sfs_generate(
     )
 
 
-def coupling_histogram(samples: int, seed: int, bins: int = 25, workers: int = 1) -> TimeTrace:
+def coupling_histogram(samples: int, seed: int, bins: int = 25, workers: int | None = None) -> TimeTrace:
     """Distribution of relative emission rate over random ion positions.
 
     Ions are placed uniformly in a surrogate standing-wave mode: relative
     coupling |cos(2 pi x/lambda_eff)| * exp(-(y^2+z^2)/w^2) over one axial
     period and a transverse box of one waist. The relative photoluminescence
     follows the Purcell rate map, PL ~ (g/g_max)^2. Returns bin-center
-    fractions; 'count' holds the raw histogram.
+    fractions; 'count' holds the raw histogram. The chunks run on up to
+    `workers` threads, by default one per CPU this process may use; the
+    counts are the same for any number of them.
     """
     if samples < 1000:
         raise ValidationError("need at least 1000 samples for a stable histogram")
@@ -566,7 +568,7 @@ def coupling_histogram(samples: int, seed: int, bins: int = 25, workers: int = 1
         return hist
 
     jobs = [partial(draw, chunk) for chunk in _chunked_indices(samples)]
-    hist = np.sum(_run_jobs(jobs, workers), axis=0)  # the same for any workers
+    hist = np.sum(_run_jobs(jobs, _cpu_count() if workers is None else workers), axis=0)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return TimeTrace(
         x=centers,

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 from scipy import stats
 
+from rexsim import photonstats
 from rexsim.cavity import (
     cavity_lifetime,
     cooperativity,
@@ -21,8 +22,8 @@ from rexsim.cavity import (
     max_purcell,
     measured_purcell,
 )
+from rexsim.cli import main
 from rexsim.config import default_document
-from rexsim.csvio import strip_timestamp
 from rexsim.dynamics import (
     GROUND,
     BlochState,
@@ -400,21 +401,26 @@ def test_criterion_14_bloch_solver(rng):
     )
 
 
-def test_criterion_15_worker_determinism(tmp_path):
+def test_criterion_15_worker_determinism(tmp_path, monkeypatch, capsys):
     payloads = {}
     config = tmp_path / "fast.ini"
     config.write_text(
         "[simulation]\np_detect = 0.5\nbackground_per_pulse = 0.02\n", encoding="utf-8"
     )
-    # histogram threads its chunks, so it runs at 1 and 4 workers; sfs and g2
-    # draw serially and run twice
+    # histogram runs a thread per CPU, so it runs in process with the CPU count
+    # pinned to 1 and to 4; sfs and g2 run twice as separate processes
+    for run, cpus in enumerate((1, 4)):
+        monkeypatch.setattr(photonstats, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"histogram_{run}.csv"
+        assert main(["histogram", "--samples", "200000", "--seed", "11", "--out", str(out)]) == 0
+        payloads[("histogram", run)] = out.read_bytes()
+    capsys.readouterr()
     jobs = {
-        "sfs": [["sfs", "--bin-mhz", "50"]] * 2,
-        "histogram": [["histogram", "--samples", "200000", "--workers", w] for w in ("1", "4")],
-        "g2": [["g2", "--config", str(config), "--pulses", "400000", "--max-lag", "40"]] * 2,
+        "sfs": ["sfs", "--bin-mhz", "50"],
+        "g2": ["g2", "--config", str(config), "--pulses", "400000", "--max-lag", "40"],
     }
-    for name, runs in jobs.items():
-        for run, argv in enumerate(runs):
+    for name, argv in jobs.items():
+        for run in range(2):
             out = tmp_path / f"{name}_{run}.csv"
             proc = subprocess.run(
                 [sys.executable, "-m", "rexsim.cli", *argv, "--seed", "11", "--out", str(out)],
@@ -423,7 +429,7 @@ def test_criterion_15_worker_determinism(tmp_path):
                 timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
-            payloads[(name, run)] = strip_timestamp(out.read_text(encoding="utf-8"))
-    ok = all(payloads[(name, 0)] == payloads[(name, 1)] for name in jobs)
-    check(15, ok, "histogram CSV payloads identical for 1 and 4 workers, "
-                  "sfs and g2 payloads identical across two runs at seed 11")
+            payloads[(name, run)] = out.read_bytes()
+    ok = all(payloads[(name, 0)] == payloads[(name, 1)] for name in ("histogram", *jobs))
+    check(15, ok, "histogram CSVs byte-identical on 1 and 4 threads, "
+                  "sfs and g2 CSVs byte-identical across two runs at seed 11")

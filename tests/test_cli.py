@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rexsim import cli
+from rexsim import cli, photonstats
 from rexsim.cli import HANDLERS, REFERENCES, build_parser, cmd_golden, main
 from rexsim.config import default_document, parse_config
-from rexsim.csvio import read_trace_csv, render_trace_csv, strip_timestamp, write_trace_csv
+from rexsim.csvio import read_trace_csv, render_trace_csv, write_trace_csv
 from rexsim.dynamics import _PENCIL_MAX_POINTS
 from rexsim.trace import TimeTrace
 
@@ -148,7 +148,6 @@ class TestExitCodes:
         ["ramsey", "--beat-khz", "nan"],
         ["echo", "--t12-max-us", "inf"],
         ["flipflop", "--t-max-k", "inf"],
-        ["rabi", "--pulse-ns", "1e300"],
     ], ids=" ".join)
     def test_non_finite_float_flag_is_named(self, capsys, argv):
         with warnings.catch_warnings():
@@ -186,13 +185,6 @@ class TestExitCodes:
         assert main(["cavity", "--config", str(bad)]) == 3
         assert "error: line " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exits_2(self, capsys, workers):
-        with pytest.raises(SystemExit) as exc:
-            main(["histogram", "--workers", workers])
-        assert exc.value.code == 2
-        assert "--workers: must be at least 1" in capsys.readouterr().err
-
     # never --samples at a huge value: the histogram chunk list grows with it
     @pytest.mark.parametrize("argv", [
         ["rabi", "--points", "-1"],
@@ -206,7 +198,6 @@ class TestExitCodes:
         ["histogram", "--bins", "10000000000000000000"],
         ["g2", "--pulses", "10000000000000000000"],
         ["g2", "--pulses", "5000000000000000000"],
-        ["histogram", "--workers", str(2**59)],
     ], ids=" ".join)
     def test_count_out_of_range_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -304,18 +295,24 @@ class TestGolden:
         assert rows("cavity")["cooperativity_qx10"].passed is True
 
 
-# g2 at p_detect 0.5 reaches its coincidence floor in 400000 pulses; rabi at 3
-# points has too few extrema, so its report carries a note
+@pytest.fixture
+def fast_config(tmp_path):
+    """An INI at which g2 reaches its coincidence floor in 400000 pulses."""
+    config = tmp_path / "fast.ini"
+    config.write_text("[simulation]\np_detect = 0.5\nbackground_per_pulse = 0.02\n",
+                      encoding="utf-8")
+    return config
+
+
+# rabi at 3 points has too few extrema, so its report carries a note
 @pytest.mark.parametrize("argv", [
     ["spectro"], ["cavity"], ["budget", "--out"], ["rabi", "--points", "3", "--out"],
     ["ramsey", "--out"], ["echo", "--out"], ["g2", "--pulses", "400000", "--max-lag", "40", "--out"],
     ["sfs", "--out"], ["histogram", "--out"], ["spinbath", "--out"], ["flipflop", "--out"],
 ], ids=lambda argv: argv[0])
-def test_only_main_writes_output(tmp_path, capsys, argv):
+def test_only_main_writes_output(tmp_path, capsys, fast_config, argv):
     """A handler returns its report, notes and curve; main prints them and writes the CSV."""
-    config, out = tmp_path / "fast.ini", tmp_path / "curve.csv"
-    config.write_text("[simulation]\np_detect = 0.5\nbackground_per_pulse = 0.02\n",
-                      encoding="utf-8")
+    config, out = fast_config, tmp_path / "curve.csv"
     argv = [*argv, *([str(out)] if argv[-1] == "--out" else []), "--config", str(config)]
     args = build_parser().parse_args(argv)
     report = HANDLERS[args.subcommand](args, parse_config(str(config)))
@@ -332,8 +329,7 @@ class TestCsvContract:
     def test_metadata_then_single_header(self, tmp_path):
         out = tmp_path / "rabi.csv"
         assert main([
-            "rabi", "--nbar-max", "9", "--points", "50",
-            "--pulse-ns", "250", "--out", str(out),
+            "rabi", "--nbar-max", "9", "--points", "50", "--out", str(out),
         ]) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         meta = [l for l in lines if l.startswith("#")]
@@ -373,13 +369,29 @@ class TestCsvContract:
         assert a.metadata == b.metadata
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
-    def test_rerun_identical_apart_from_timestamp(self, tmp_path):
+    # every subcommand that writes a CSV, at small sizes
+    @pytest.mark.parametrize("argv", [
+        ["budget"], ["rabi", "--points", "50"], ["ramsey", "--points", "100"],
+        ["echo", "--points", "50"], ["g2", "--pulses", "400000", "--max-lag", "40"],
+        ["sfs", "--bin-mhz", "250"], ["histogram", "--samples", "20000"],
+        ["spinbath", "--points", "10"], ["flipflop", "--points", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_rerun_byte_identical(self, tmp_path, capsys, fast_config, argv):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
-            assert main(["sfs", "--seed", "9", "--bin-mhz", "250", "--out", str(path)]) == 0
-        text_a = strip_timestamp(a.read_text(encoding="utf-8"))
-        text_b = strip_timestamp(b.read_text(encoding="utf-8"))
-        assert text_a == text_b
+            assert main([*argv, "--config", str(fast_config), "--out", str(path)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["g2", "--pulses", "400000", "--max-lag", "40"], ["sfs"], ["histogram"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_is_one_param_line(self, tmp_path, capsys, fast_config, argv):
+        out = tmp_path / "seeded.csv"
+        assert main([*argv, "--config", str(fast_config), "--seed", "9", "--out", str(out)]) == 0
+        meta = [line for line in out.read_text(encoding="utf-8").splitlines() if line[0] == "#"]
+        assert all(line.startswith(("# rexsim ", "# subcommand: ", "# param ")) for line in meta)
+        assert [line for line in meta if "seed" in line] == ["# param seed = 9"]
+        assert read_trace_csv(str(out)).metadata["seed"] == 9
 
     def test_shortest_round_trip_floats(self):
         trace = TimeTrace(x=np.array([0.1, 0.2]), y=np.array([1 / 3, 2 / 3]))
@@ -389,14 +401,13 @@ class TestCsvContract:
 
 
 class TestWorkerDeterminism:
-    def test_histogram_payload_independent_of_workers(self, tmp_path):
+    def test_histogram_payload_independent_of_workers(self, tmp_path, capsys, monkeypatch):
         payloads = []
-        for workers in ("1", "4"):
-            out = tmp_path / f"histogram_{workers}.csv"
-            code = main(["histogram", "--samples", "150000", "--seed", "3",
-                         "--workers", workers, "--out", str(out)])
-            assert code == 0
-            payloads.append(strip_timestamp(out.read_text(encoding="utf-8")))
+        for cpus in (1, 4):  # histogram runs one thread per CPU
+            monkeypatch.setattr(photonstats, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"histogram_{cpus}.csv"
+            assert main(["histogram", "--samples", "150000", "--seed", "3", "--out", str(out)]) == 0
+            payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
 
 
@@ -441,11 +452,9 @@ class TestFitInput:
     @pytest.mark.parametrize("subcommand, text, where", [
         ("echo", "t12_s,echo_intensity_dimensionless\n1e-06,0.5\n2e-06,0.4,0.1\n", "line 3"),
         ("echo", "t12_s\n1e-06\n2e-06\n", "line 1"),
-        ("echo", "# seed: abc\nt12_s,echo_intensity_dimensionless\n1e-06,0.5\n", "line 1"),
         ("rabi", "# param pulse_s = abc\nnbar_photons,p_excited\n0.0,0.0\n0.1,0.5\n", "'abc'"),
         ("rabi", "# param pulse_s = 0.0\nnbar_photons,p_excited\n0.0,0.0\n0.1,0.5\n", "0.0"),
-    ], ids=["ragged-rows", "one-column-header", "non-integer-seed", "non-numeric-pulse",
-            "zero-pulse"])
+    ], ids=["ragged-rows", "one-column-header", "non-numeric-pulse", "zero-pulse"])
     def test_malformed_fit_input_exits_3(self, tmp_path, capsys, subcommand, text, where):
         bad = tmp_path / "bad.csv"
         bad.write_text(text, encoding="utf-8")
@@ -454,10 +463,14 @@ class TestFitInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and where in err
 
-    @pytest.mark.parametrize("pulse_ns", ["0", "-250", "nan", "inf"])
-    def test_rabi_rejects_bad_pulse_length(self, capsys, pulse_ns):
-        assert main(["rabi", "--points", "50", "--pulse-ns", pulse_ns]) == 3
-        assert "pulse length must be positive and finite" in capsys.readouterr().err
+    # the INI rejects all but 1e-320 ns, which cmd_rabi rejects as it underflows to 0 s
+    @pytest.mark.parametrize("pulse_ns", ["0", "-250", "nan", "inf", "1e-320"])
+    def test_rabi_rejects_bad_pulse_length(self, tmp_path, capsys, pulse_ns):
+        config = tmp_path / "pulse.ini"
+        config.write_text(f"[simulation]\npulse_ns = {pulse_ns}\n", encoding="utf-8")
+        assert main(["rabi", "--points", "50", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "pulse_ns" in err
 
     def test_rabi_fit_from_csv(self, tmp_path, capsys):
         out = tmp_path / "rabi.csv"
