@@ -5,11 +5,14 @@ All randomness is drawn from counter-based Philox streams keyed by
 draws its uniform streams in CHUNK-pulse pieces, each from a generator set
 to the piece's counter, so a piece holds the same bits as that slice of one
 serial draw; the pieces run on a thread pool, and a serial pass carries the
-shelving state across their boundaries. Below STITCH_MAX_BACKGROUND the
-pieces also draw the Poisson background's doubles, and a serial stitch turns
-them into the counts of one `poisson` draw; above it that one draw overlaps
-the pieces. g2 finds the nonzero pulses piece by piece and sums their pairs
-in one range of them per thread. The SFS and the coupling histogram draw one
+shelving state across their boundaries. The pieces draw raw 64-bit words
+and compare them with integer thresholds: numpy's `random` is
+(word >> 11) * 2^-53, so the thresholds give the bools that comparing those
+doubles gives, without making them. Below STITCH_MAX_BACKGROUND the pieces
+also draw the Poisson background's words, and a serial stitch turns them
+into the counts of one `poisson` draw; above it that one draw overlaps the
+pieces. g2 finds the nonzero pulses piece by piece and sums their pairs in
+one range of them per thread. The SFS and the coupling histogram draw one
 stream per fixed-size chunk of bins or samples, and the histogram maps its
 chunks on the same pool. Every output is the same for any number of threads.
 """
@@ -51,6 +54,33 @@ def _stream(seed: int, stream_id: int, start: int = 0) -> Generator:
     """
     key = np.array([seed, stream_id], dtype=np.uint64)
     return Generator(Philox(key=key, counter=start // 4))
+
+
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    """`random() < p` for the raw Philox words `random()` would turn into doubles.
+
+    `random` takes one word per double, (word >> 11) * 2^-53, which is
+    exact. That is below p exactly when word >> 11 < ceil(p 2^53), that is
+    word < ceil(p 2^53) << 11. At p = 1 that bound is 2^64, past uint64.
+    numpy before 2.0 compares uint64 with a Python int as float64, so the
+    bound is a uint64.
+    """
+    if p >= 1.0:
+        return np.ones(words.size, dtype=bool)
+    return words < np.uint64(math.ceil(p * 2**53) << 11)
+
+
+def _hot(words: np.ndarray, enlam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and doubles of the words whose double exceeds enlam.
+
+    (word >> 11) * 2^-53 > enlam exactly when word >> 11 > floor(enlam 2^53).
+    Where enlam rounds to 1 no word is hot; capping the floor at 2^53 - 1,
+    the largest value of word >> 11, keeps it so and keeps the threshold
+    within uint64.
+    """
+    top = min(math.floor(enlam * 2**53), 2**53 - 1)
+    i = np.flatnonzero(words > np.uint64(top << 11 | 2047))
+    return i, (words[i] >> np.uint64(11)) * 2.0**-53
 
 
 def _chunked_indices(total: int) -> list[tuple[int, int, int]]:
@@ -102,7 +132,7 @@ class EmitterLevelScheme:
         for name in ("p_excite", "p_detect", "p_shelve"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1]")
-        if self.shelf_recovery <= 0.0:
+        if not self.shelf_recovery > 0.0:  # not `<= 0.0`, which NaN passes
             raise ValidationError("shelf recovery rate must be positive")
 
 
@@ -117,7 +147,9 @@ class CountRecord:
     def __post_init__(self):
         if self.counts.ndim != 1 or self.counts.size == 0:
             raise ValidationError("counts must be a non-empty 1-d array")
-        if np.any(self.counts < 0):
+        if not np.issubdtype(self.counts.dtype, np.integer):
+            raise ValidationError(f"counts must be integers, got dtype {self.counts.dtype}")
+        if self.counts.min() < 0:
             raise ValidationError("counts must be non-negative")
 
     @property
@@ -126,38 +158,27 @@ class CountRecord:
         return float(np.mean(self.counts)) / self.period
 
 
-def _shelf_activity(
-    emitted: np.ndarray, shelve_draw: np.ndarray, recover_draw: np.ndarray
-) -> np.ndarray:
-    """Active/shelved state walk over precomputed per-pulse event draws.
+def _shelf_activity(candidates: np.ndarray, recoveries: np.ndarray, n: int) -> np.ndarray:
+    """Active/shelved state walk over n pulses, from sorted event indices.
 
-    A shelving emission at pulse j makes pulses j+1 .. k-1 dark, where k is
-    the first later pulse whose preceding period contained a recovery.
-    Every candidate inside a dark run shares that run's k, so the first
-    candidate per distinct k starts each run.
+    A shelving emission (a candidate) at pulse j makes pulses j+1 .. k-1
+    dark, where k is the first later pulse whose preceding period contained
+    a recovery. Every candidate inside a dark run shares that run's k, so the
+    first candidate per distinct k starts each run. The next run's candidate
+    lies at or after k, so that run starts at k + 1 or later: runs neither
+    overlap nor touch, and a toggle at each start and end, accumulated by
+    XOR, marks them.
     """
-    n = emitted.size
-    candidates = np.flatnonzero(emitted & shelve_draw)
-    recoveries = np.append(np.flatnonzero(recover_draw), n)  # n: dark to the end
-    ends = recoveries[np.searchsorted(recoveries, candidates, side="right")]
+    ends = np.append(recoveries, n)[np.searchsorted(recoveries, candidates, side="right")]
     first = np.ones(ends.size, dtype=bool)
     np.not_equal(ends[1:], ends[:-1], out=first[1:])
-    edges = np.zeros(n + 1, dtype=np.int8)
-    edges[candidates[first] + 1] = 1
-    edges[ends[first]] -= 1  # an empty run (k = j + 1) nets 0
-    np.cumsum(edges, dtype=np.int8, out=edges)
-    return ~edges[:n].view(bool)
-
-
-def _first_and_last(mask: np.ndarray) -> tuple[int, int]:
-    """Indices of the first and last True of `mask`, or (mask.size, -1) if none.
-
-    argmax stops at the first True, so a dense mask is read only at its ends.
-    """
-    first = int(mask.argmax())
-    if not mask[first]:
-        return mask.size, -1
-    return first, mask.size - 1 - int(mask[::-1].argmax())
+    starts, ends = candidates[first] + 1, ends[first]
+    full = starts < ends  # an empty run (k = j + 1) darkens nothing
+    toggles = np.zeros(n + 1, dtype=bool)
+    toggles[0] = True  # active before the first run, which starts at 1 or later
+    toggles[starts[full]] = True
+    toggles[ends[full]] = True
+    return np.logical_xor.accumulate(toggles, out=toggles)[:n]
 
 
 # Mean background per pulse below which the emitter pieces draw the
@@ -216,15 +237,15 @@ def _background_pulses(
     goes on from n until n pulses have ended.
     """
     enlam = math.exp(-mean)
-    extension = _stream(seed, _STREAM_BACKGROUND, n)
-    extension.random(n % 4)  # the counter steps four doubles at a time
+    extension = _stream(seed, _STREAM_BACKGROUND, n).bit_generator
+    extension.random_raw(n % 4)  # the counter steps four words at a time
     hot, drawn = list(hot), n
     short = n * mean  # the doubles the counts take, on average
     while True:
-        more = extension.random(math.ceil(short + 6.0 * math.sqrt(short)) + 16)
-        i = np.flatnonzero(more > enlam)
-        hot.append((i + drawn, more[i]))
-        drawn += more.size
+        size = math.ceil(short + 6.0 * math.sqrt(short)) + 16
+        i, values = _hot(extension.random_raw(size), enlam)
+        hot.append((i + drawn, values))
+        drawn += size
         positions, values = (np.concatenate(part) for part in zip(*hot))
         starts, ends = _pulse_bounds(positions, values, enlam)
         counted = np.cumsum(~ends)  # a pulse's first double counts, an ending one not
@@ -257,7 +278,7 @@ def simulate_emitter_stream(
     """
     if n_pulses < 1:
         raise ValidationError("need at least one pulse")
-    if period <= 0.0:
+    if not period > 0.0:
         raise ValidationError("pulse period must be positive")
     if not 0.0 <= background < 1e18:  # numpy's Poisson sampler draws int64 counts
         raise ValidationError(
@@ -273,31 +294,28 @@ def simulate_emitter_stream(
     def piece(start, stop):
         """Draw counts[start:stop] as if the ion entered the piece active.
 
-        With shelving, the walk is the piece's first recovery, last shelving
-        candidate and last recovery, relative to start (size, -1, -1: none);
-        with a stitched background, the hot doubles are the positions and
-        values of the piece's background doubles above enlam.
+        With shelving, the walk is the piece's shelving candidates and
+        recoveries, relative to start; with a stitched background, the hot
+        doubles are the positions and values of the piece's background
+        doubles above enlam.
         """
-        draws = np.empty(stop - start)
 
-        def below(stream_id, p):
-            return _stream(seed, stream_id, start).random(out=draws) < p
+        def words(stream_id):
+            return _stream(seed, stream_id, start).bit_generator.random_raw(stop - start)
 
-        emitted = below(_STREAM_EXCITE, scheme.p_excite)
+        emitted = _below(words(_STREAM_EXCITE), scheme.p_excite)
         walk = None
         if shelving:
-            shelve = below(_STREAM_SHELVE, scheme.p_shelve)
-            recover = below(_STREAM_RECOVER, q_recover)
-            first_recovery, last_recovery = _first_and_last(recover)
-            walk = first_recovery, _first_and_last(emitted & shelve)[1], last_recovery
-            emitted &= _shelf_activity(emitted, shelve, recover)
-        emitted &= below(_STREAM_DETECT, scheme.p_detect)
+            shelves = np.flatnonzero(_below(words(_STREAM_SHELVE), scheme.p_shelve))
+            recoveries = np.flatnonzero(_below(words(_STREAM_RECOVER), q_recover))
+            walk = shelves[emitted[shelves]], recoveries
+            emitted &= _shelf_activity(*walk, stop - start)
+        emitted &= _below(words(_STREAM_DETECT), scheme.p_detect)
         counts[start:stop] = emitted
         hot = None
         if stitch:
-            _stream(seed, _STREAM_BACKGROUND, start).random(out=draws)
-            i = np.flatnonzero(draws > enlam)
-            hot = i + start, draws[i]
+            i, values = _hot(words(_STREAM_BACKGROUND), enlam)
+            hot = i + start, values
         return walk, hot
 
     jobs = [partial(piece, start, stop) for _, start, stop in chunks]
@@ -311,13 +329,13 @@ def simulate_emitter_stream(
         # the ion enters a piece dark when the last shelving candidate before
         # it is at or after the last recovery, and stays dark to its first one
         last_candidate, last_recovery = -1, 0
-        for (_, start, _), (first_recovery, candidate, recovery) in zip(chunks, walks):
+        for (_, start, stop), (candidates, recoveries) in zip(chunks, walks):
             if last_candidate >= last_recovery:
-                counts[start:start + first_recovery] = 0
-            if candidate >= 0:
-                last_candidate = start + candidate
-            if recovery >= 0:
-                last_recovery = start + recovery
+                counts[start:(start + recoveries[0] if recoveries.size else stop)] = 0
+            if candidates.size:
+                last_candidate = start + candidates[-1]
+            if recoveries.size:
+                last_recovery = start + recoveries[-1]
     if serial:
         counts += drawn
     elif stitch:
@@ -367,10 +385,11 @@ def _coincidences(counts: np.ndarray, max_lag: int) -> np.ndarray:
 
     Sparse records pair up their nonzero pulses: the pool finds them piece by
     piece, then sums the pairs of one contiguous range of them per thread.
-    Dense records take one dot product per lag. The sums are integers below
-    2^53, so both paths and any split give the same floats, and every 64th
-    pulse is enough to pick the faster path: a full count would add a pass
-    over the record to the dense path.
+    Dense records take one dot product per lag. CountRecord holds integer
+    counts, so the sums are integers below 2^53, and both paths and any
+    split give the same floats. Every 64th pulse is enough to pick the
+    faster path: a full count would add a pass over the record to the dense
+    path.
     """
     sample = counts[::64]
     if np.count_nonzero(sample) > SPARSE_MAX_OCCUPANCY * sample.size:
@@ -382,7 +401,8 @@ def _coincidences(counts: np.ndarray, max_lag: int) -> np.ndarray:
         return out
 
     def nonzero(start, stop):
-        return np.flatnonzero(counts[start:stop]) + start
+        # numpy's nonzero has a fast loop for bools only
+        return np.flatnonzero(counts[start:stop] != 0) + start
 
     workers = _cpu_count()
     chunks = [partial(nonzero, start, stop) for _, start, stop in _chunked_indices(counts.size)]
@@ -562,8 +582,14 @@ def coupling_histogram(samples: int, seed: int, bins: int = 25, workers: int | N
         x = rng.random(m)  # axial position in units of lambda_eff, one period
         y = rng.uniform(-1.0, 1.0, m)  # transverse, units of the waist
         z = rng.uniform(-1.0, 1.0, m)
-        g_rel = np.abs(np.cos(2.0 * math.pi * x)) * np.exp(-(y**2 + z**2))
-        pl = g_rel**2
+        # in place: a fresh chunk-sized temporary per step costs page faults
+        # whenever the allocator maps each one anew
+        x *= 2.0 * math.pi
+        g_rel = np.abs(np.cos(x, out=x), out=x)
+        np.square(y, out=y)
+        y += np.square(z, out=z)
+        g_rel *= np.exp(np.negative(y, out=y), out=y)
+        pl = np.square(g_rel, out=g_rel)
         hist, _ = np.histogram(pl, bins=edges)
         return hist
 

@@ -85,6 +85,14 @@ class TestEmitterStream:
         with pytest.raises(ValidationError):
             simulate_emitter_stream(scheme, NO_BACKGROUND, 0, PERIOD, seed=1)
 
+    def test_rejects_nan_recovery_and_period(self):
+        """A NaN recovery probability has no raw-word threshold."""
+        with pytest.raises(ValidationError, match="recovery"):
+            EmitterLevelScheme(p_excite=0.5, p_detect=0.5, p_shelve=0.1, shelf_recovery=math.nan)
+        scheme = EmitterLevelScheme(p_excite=0.5, p_detect=0.5, p_shelve=0.1)
+        with pytest.raises(ValidationError, match="period"):
+            simulate_emitter_stream(scheme, NO_BACKGROUND, 1000, math.nan, seed=1)
+
     def test_rejects_negative_background(self):
         scheme = EmitterLevelScheme(p_excite=0.5, p_detect=0.5)
         with pytest.raises(ValidationError, match="background counts per pulse"):
@@ -95,6 +103,30 @@ class TestEmitterStream:
         scheme = EmitterLevelScheme(p_excite=0.5, p_detect=0.5)
         with pytest.raises(ValidationError, match=r"\[0, 1e18\)"):
             simulate_emitter_stream(scheme, background, 1000, PERIOD, seed=1)
+
+
+class TestCountRecord:
+    """Counts must be non-negative integers; g2's pair sums rely on it."""
+
+    @pytest.mark.parametrize("counts", [
+        np.array([math.nan] * 1000 + [1.0] * 10),  # passed the sign check, mean_rate nan
+        np.full(1000, 0.5),                         # g2(0) came out as -1
+    ], ids=["nan", "half"])
+    def test_rejects_non_integer_counts(self, counts):
+        with pytest.raises(ValidationError, match="counts must be integers") as caught:
+            CountRecord(counts=counts, period=PERIOD, seed=0)
+        assert "\n" not in str(caught.value)
+
+    def test_rejects_negative_counts(self):
+        counts = np.zeros(1000, dtype=np.int64)
+        counts[-1] = -1
+        with pytest.raises(ValidationError, match="non-negative"):
+            CountRecord(counts=counts, period=PERIOD, seed=0)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
+    def test_accepts_integer_counts(self, dtype):
+        record = CountRecord(counts=np.array([0, 2, 1, 1], dtype=dtype), period=PERIOD, seed=0)
+        assert record.mean_rate == 1.0 / PERIOD
 
 
 class TestG2Estimator:
@@ -403,7 +435,8 @@ class TestShelvingWalk:
         emitted = rng.random(n) < 0.6
         shelve = rng.random(n) < p_shelve
         recover = rng.random(n) < q_recover
-        active = photonstats._shelf_activity(emitted, shelve, recover)
+        active = photonstats._shelf_activity(
+            np.flatnonzero(emitted & shelve), np.flatnonzero(recover), n)
         assert active.dtype == bool
         assert np.array_equal(active, reference_shelf_activity(emitted, shelve, recover))
 
@@ -413,7 +446,8 @@ class TestShelvingWalk:
         emitted[candidates] = True
         recover = np.zeros(n, dtype=bool)
         recover[recoveries] = True
-        active = photonstats._shelf_activity(emitted, emitted.copy(), recover)
+        active = photonstats._shelf_activity(
+            np.array(candidates, dtype=np.intp), np.array(recoveries, dtype=np.intp), n)
         assert np.array_equal(active, reference_shelf_activity(emitted, emitted, recover))
         return np.flatnonzero(~active).tolist()
 
@@ -433,6 +467,15 @@ class TestShelvingWalk:
 
     def test_candidates_inside_a_dark_run_are_ignored(self):
         assert self.walk(12, [1, 3, 4, 6], [6, 10]) == [2, 3, 4, 5, 7, 8, 9]
+
+    def test_candidate_on_a_recovery_pulse(self):
+        """The run it starts begins one pulse after the previous run ends."""
+        assert self.walk(10, [2, 5], [5, 8]) == [3, 4, 6, 7]
+        assert self.walk(10, [0, 1], [1, 3]) == [2]  # an empty run, then one from 2
+
+    def test_empty_runs_at_the_ends(self):
+        assert self.walk(10, [0], [1]) == []
+        assert self.walk(10, [8, 9], [9]) == []  # the last candidate's run would start at n
 
 
 # 0.001 is stitched from the pieces' draws whichever side of the crossover
@@ -494,16 +537,65 @@ class TestChunkedDraws:
         assert np.array_equal(record.counts, expected)
 
 
+# Probabilities at the edges of the raw-word thresholds: the least double,
+# the least nonzero `random()`, one where p 2^53 is an integer (so the
+# comparison must stay strict), the largest below 1, and 1, whose threshold
+# 2^53 << 11 would not fit in uint64.
+EDGE_PROBABILITIES = (0.0, 5e-324, 2.0**-53, 0.25, np.nextafter(1.0, 0.0), 1.0)
+
+
+class TestThresholds:
+    @staticmethod
+    def words_around(k):
+        """Words whose top 53 bits are k - 1, k and k + 1, at both ends of their low 11 bits."""
+        tops = np.array([t for t in (k - 1, k, k + 1) if 0 <= t < 2**53], dtype=np.uint64)
+        low = np.array([0, 2047], dtype=np.uint64)
+        return (tops[:, None] << np.uint64(11) | low).ravel()
+
+    @pytest.mark.parametrize("p", EDGE_PROBABILITIES + (0.3, 1e-300))
+    def test_below_equals_comparing_the_doubles(self, p):
+        k = min(math.ceil(p * 2**53), 2**53 - 1)
+        words = np.concatenate([self.words_around(k), np.array([0, 2**64 - 1], dtype=np.uint64)])
+        doubles = (words >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(photonstats._below(words, p), doubles < p)
+
+    @pytest.mark.parametrize("enlam", [
+        math.exp(-5e-324), math.exp(-1e-17), math.exp(-2.0**-52), np.nextafter(1.0, 0.0),
+        math.exp(-0.001), 0.75, math.exp(-12.0), 0.0,
+    ])
+    def test_hot_equals_comparing_the_doubles(self, enlam):
+        k = min(math.floor(enlam * 2**53), 2**53 - 1)
+        words = np.concatenate([self.words_around(k), np.array([0, 2**64 - 1], dtype=np.uint64)])
+        doubles = (words >> np.uint64(11)) * 2.0**-53
+        i, values = photonstats._hot(words, enlam)
+        assert np.array_equal(i, np.flatnonzero(doubles > enlam))
+        assert np.array_equal(values, doubles[i])
+
+    @pytest.mark.parametrize("p_shelve", EDGE_PROBABILITIES)
+    @pytest.mark.parametrize("p_excite", EDGE_PROBABILITIES)
+    def test_stream_matches_reference_at_edge_probabilities(self, monkeypatch, p_excite, p_shelve):
+        n = CHUNK + 5
+        for p_detect in EDGE_PROBABILITIES:
+            scheme = EmitterLevelScheme(p_excite, p_detect, p_shelve, shelf_recovery=1400.0)
+            expected = reference_stream(scheme, NO_BACKGROUND, n, PERIOD, 12345)
+            for pool_size in (1, 2, 3):
+                monkeypatch.setattr(photonstats, "_cpu_count", lambda: pool_size)
+                record = simulate_emitter_stream(scheme, NO_BACKGROUND, n, PERIOD, 12345)
+                assert np.array_equal(record.counts, expected)
+
+
 DARK = EmitterLevelScheme(p_excite=0.0, p_detect=0.5)  # the record is the background
 
 
 class TestBackgroundDraw:
     """Stitched from the pieces or drawn serially, the background is one Poisson draw."""
 
+    # exp(-mean) rounds to 1 at 5e-324 and 1e-17, so no double is hot; at
+    # 2^-52 it is 1 - 2^-52, so the largest double is
     @pytest.mark.parametrize("n", [1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
     @pytest.mark.parametrize("mean", [
-        1e-6, 1e-3, 0.02, np.nextafter(STITCH_MAX_BACKGROUND, 0.0), STITCH_MAX_BACKGROUND,
-        3.0, 9.99, 10.0, 12.0,
+        5e-324, 1e-17, 2.0**-52, 1e-6, 1e-3, 0.02,
+        np.nextafter(STITCH_MAX_BACKGROUND, 0.0), STITCH_MAX_BACKGROUND, 3.0, 9.99, 10.0, 12.0,
     ])
     def test_equals_one_poisson_draw(self, mean, n):
         for seed in (12345, 2**64 - 1):
