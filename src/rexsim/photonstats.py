@@ -11,10 +11,10 @@ and compare them with integer thresholds: numpy's `random` is
 doubles gives, without making them. Below STITCH_MAX_BACKGROUND the pieces
 also draw the Poisson background's words, and a serial stitch turns them
 into the counts of one `poisson` draw; above it that one draw overlaps the
-pieces. g2 finds the nonzero pulses piece by piece and sums their pairs in
-one range of them per thread. The SFS and the coupling histogram draw one
-stream per fixed-size chunk of bins or samples, and the histogram maps its
-chunks on the same pool. Every output is the same for any number of threads.
+pieces. On the same pool, g2 sums the pairs that start in one range of
+pulses per thread, exactly while the squared counts sum below 2^53. The SFS
+and the histogram draw one stream per fixed-size chunk of bins or samples,
+the histogram's on the pool. Every output is the same for any thread count.
 """
 
 import math
@@ -361,60 +361,60 @@ def g2_zero_analytic(signal_fraction: float) -> float:
 SPARSE_MAX_OCCUPANCY = 0.1
 
 
-def _pair_sums(idx: np.ndarray, w: np.ndarray, lo: int, hi: int, max_lag: int) -> np.ndarray:
-    """sum of w_i w_j per lag idx_j - idx_i in 1 .. max_lag, over events lo <= i < hi.
+def _pair_sums(counts: np.ndarray, start: int, stop: int, max_lag: int) -> tuple[np.ndarray, float]:
+    """Coincidences over first pulses start <= i < stop, sum n_i^2 at lag 0, and sum n_i.
 
-    Pass k adds the products of every k-th neighbour pair into the bin of its
-    lag, and stops once no such pair lies within max_lag.
+    Pass k adds the products of every k-th neighbour event pair into the bin
+    of its lag, and stops once no such pair lies within max_lag. Pass 0 sums
+    n_i^2 in numpy's own loop: a BLAS dot's threads would contend with the pool's.
     """
-    stop = int(np.searchsorted(idx, idx[hi - 1] + max_lag, side="right"))
-    idx, w = idx[lo:stop], w[lo:stop]
+    window = counts[start:stop + max_lag]  # every pair's second pulse lies in it
+    # numpy's nonzero has a fast loop for bools only, and CHUNK pieces keep them small
+    idx = np.concatenate([np.flatnonzero(window[a:a + CHUNK] != 0) + a
+                          for a in range(0, window.size, CHUNK)])
+    w = window[idx].astype(np.float64)  # no product wraps in the counts' dtype
+    own = int(np.searchsorted(idx, stop - start))
     out = np.zeros(max_lag + 1)
-    for k in range(1, idx.size):
-        left = min(hi - lo, idx.size - k)
+    for k in range(idx.size):
+        left = min(own, idx.size - k)
         lag = idx[k:k + left] - idx[:left]
         close = lag <= max_lag
         if not close.any():
             break
         out += np.bincount(lag[close], (w[k:k + left] * w[:left])[close], minlength=max_lag + 1)
-    return out
+    return out, w[:own].sum()
 
 
 def _coincidences(counts: np.ndarray, max_lag: int) -> np.ndarray:
     """sum_i n_i n_{i+m} for m = 1 .. max_lag and sum_i n_i (n_i - 1) at m = 0.
 
-    Sparse records pair up their nonzero pulses: the pool finds them piece by
-    piece, then sums the pairs of one contiguous range of them per thread.
-    Dense records take one dot product per lag. CountRecord holds integer
-    counts, so the sums are integers below 2^53, and both paths and any
-    split give the same floats. Every 64th pulse is enough to pick the
-    faster path: a full count would add a pass over the record to the dense
-    path.
+    Sparse records pair up their nonzero pulses: each thread takes one
+    contiguous range of pulses and sums the pairs that start in it. Dense
+    records take one dot product per lag. Every 64th pulse is enough to pick
+    the faster path: a full count would add a pass over the record to the
+    dense path. The counts are integers and sum_i n_i^2, which bounds every
+    sum (Cauchy-Schwarz), must lie below 2^53, so every partial sum is an
+    exact integer and both paths and any split give the same floats.
     """
     sample = counts[::64]
-    if np.count_nonzero(sample) > SPARSE_MAX_OCCUPANCY * sample.size:
+    dense = np.count_nonzero(sample) > SPARSE_MAX_OCCUPANCY * sample.size
+    if dense:
         c = counts.astype(np.float64)
         out = np.empty(max_lag + 1)
-        out[0] = float(np.dot(c, c) - c.sum())
+        out[0], total = np.dot(c, c), c.sum()
+    else:
+        step = -(-counts.size // _cpu_count())  # one range per thread
+        jobs = [partial(_pair_sums, counts, start, start + step, max_lag)
+                for start in range(0, counts.size, step)]
+        parts, totals = zip(*_run_jobs(jobs, len(jobs)))
+        out, total = np.sum(parts, axis=0), sum(totals)
+    if not out[0] < 2**53:
+        raise ValidationError(f"g2 needs the sum of squared counts per pulse below 2^53 "
+                              f"to count coincidences exactly, got {out[0]:.3g}")
+    out[0] -= total
+    if dense:  # after the check: each lag takes a pass over the record
         for m in range(1, max_lag + 1):
             out[m] = float(np.dot(c[:-m], c[m:]))
-        return out
-
-    def nonzero(start, stop):
-        # numpy's nonzero has a fast loop for bools only
-        return np.flatnonzero(counts[start:stop] != 0) + start
-
-    workers = _cpu_count()
-    chunks = [partial(nonzero, start, stop) for _, start, stop in _chunked_indices(counts.size)]
-    idx = np.concatenate(_run_jobs(chunks, workers))
-    w = counts[idx]
-    bounds = [idx.size * part // workers for part in range(workers + 1)]
-    parts = [partial(_pair_sums, idx, w, lo, hi, max_lag)
-             for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-    out = np.zeros(max_lag + 1)
-    for part in _run_jobs(parts, workers):
-        out += part
-    out[0] = float(np.dot(w, w) - w.sum())
     return out
 
 
@@ -443,10 +443,9 @@ def g2_estimator(
     window = slice(lo, max_lag + 1)
     window_coincidences = float(np.sum(coincidences[window]))
     if window_coincidences < min_norm_coincidences:
-        raise FitError(
-            f"normalization window holds {window_coincidences:.0f} coincidences "
-            f"(< {min_norm_coincidences:.0f}); use a longer record"
-        )
+        raise FitError(f"normalization window, lags {lo}-{max_lag}, holds "
+                       f"{window_coincidences:.0f} coincidences (< {min_norm_coincidences:.0f}); "
+                       "use a longer record or a larger max_lag")
     norm = float(np.mean(rates[window]))
     g2 = rates / norm
     sigma = np.sqrt(np.maximum(coincidences, 1.0)) / pairs / norm

@@ -215,6 +215,20 @@ class TestExitCodes:
         # far too short a record for the requested normalization window
         assert main(["g2", "--pulses", "30000", "--max-lag", "20"]) == 4
         assert "coincidences" in capsys.readouterr().err
+        # a long record whose window, lags 3-4, is too short
+        assert main(["g2", "--max-lag", "4"]) == 4
+        assert "lags 3-4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("background, code", [("3e4", 0), ("1e6", 3)])
+    def test_g2_counts_below_the_exact_sum_bound(self, tmp_path, capsys, background, code):
+        # 1e5 pulses at 1e6 counts each: sum of squared counts 1e17, past 2^53
+        ini = tmp_path / "bright.ini"
+        ini.write_text(f"[simulation]\nbackground_per_pulse = {background}\n", encoding="utf-8")
+        assert main(["g2", "--pulses", "100000", "--config", str(ini), "--no-shelving"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: g2 needs the sum of squared counts per pulse below 2^53")
+            assert "background_per_pulse" in err and err.count("\n") == 1
 
     def test_numeric_failure_names_the_flags(self, capsys):
         assert main(["cavity", "--q-scale", "1e308"]) == 4

@@ -165,7 +165,7 @@ class TestG2Estimator:
 
     def test_rejects_thin_normalization_window(self):
         record = poisson_record(0.001, 20_000, seed=14)
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="lags 15-20, .*longer record or a larger max_lag"):
             g2_estimator(record, max_lag=20)
 
     def test_analytic_examples(self):
@@ -633,7 +633,7 @@ class TestSparseCoincidences:
         dense = np.count_nonzero(counts) / counts.size > SPARSE_MAX_OCCUPANCY
         assert dense == (occupancy == 1.0)
         expected = reference_coincidences(counts, max_lag)
-        for pool_size in (1, 2, 3):
+        for pool_size in (1, 2, 3, 4, 5):
             monkeypatch.setattr(photonstats, "_cpu_count", lambda: pool_size)
             # 0: always the dot loop, 1: always the pair sum
             for threshold in (SPARSE_MAX_OCCUPANCY, 0.0, 1.0):
@@ -642,18 +642,34 @@ class TestSparseCoincidences:
 
     @pytest.mark.parametrize("pool_size", [1, 2, 3])
     def test_pairs_across_part_boundaries(self, monkeypatch, pool_size):
-        """Each thread sums the pairs its events start; their partners lie past its part."""
+        """Each thread sums the pairs that start in its pulse range; their partners lie past it."""
         monkeypatch.setattr(photonstats, "_cpu_count", lambda: pool_size)
         counts = np.zeros(2 * CHUNK, dtype=np.int64)
         counts[::21] = np.resize([1, 2, 3], counts[::21].size)  # 1, 2 or 3 every 21 pulses
         sample = counts[::64]
         assert np.count_nonzero(sample) <= SPARSE_MAX_OCCUPANCY * sample.size
         events = np.flatnonzero(counts)
-        bounds = [events.size * part // pool_size for part in range(1, pool_size)]
-        assert all(events[b] - events[b - 1] <= 100 for b in bounds)
+        step = -(-counts.size // pool_size)
+        bounds = range(step, counts.size, step)
+        assert all(events[events >= b][0] - events[events < b][-1] <= 100 for b in bounds)
         expected = reference_coincidences(counts, 100)
         assert np.count_nonzero(expected) == 5  # lags 0, 21, 42, 63 and 84
         assert np.array_equal(photonstats._coincidences(counts, 100), expected)
+
+    @pytest.mark.parametrize("pool_size", [1, 2, 3, 4, 5])
+    def test_lag_beyond_the_range_length(self, monkeypatch, pool_size):
+        """At max_lag 900 on 1000 pulses a range's pairs reach through the later ranges."""
+        monkeypatch.setattr(photonstats, "_cpu_count", lambda: pool_size)
+        monkeypatch.setattr(photonstats, "SPARSE_MAX_OCCUPANCY", 1.0)  # always the pair sum
+        counts = np.zeros(1000, dtype=np.int64)
+        # both sides of every range bound at 1-5 threads, and the first and last pulses
+        steps = [-(-1000 // size) for size in range(2, 6)]  # range lengths at 2-5 threads
+        bounds = {b for step in steps for b in range(step, 1000, step)}
+        edges = sorted({0, 999} | bounds | {b - 1 for b in bounds})
+        counts[edges] = np.resize([1, 2, 3, 5], len(edges))
+        counts[np.random.default_rng(62).choice(1000, 40, replace=False)] += 1
+        expected = reference_coincidences(counts, 900)
+        assert np.array_equal(photonstats._coincidences(counts, 900), expected)
 
     def test_estimator_identical_on_either_path(self, monkeypatch):
         record = CountRecord(counts=self.record(0.5, 0.05, 200_000), period=PERIOD, seed=0)
@@ -663,6 +679,32 @@ class TestSparseCoincidences:
         sparse = g2_estimator(record, 100, min_norm_coincidences=0.0)
         assert np.array_equal(dense.y, sparse.y)
         assert np.array_equal(dense.extra["sigma"], sparse.extra["sigma"])
+
+    @pytest.mark.parametrize("pool_size", [1, 2, 3])
+    @pytest.mark.parametrize("threshold", [0.0, 1.0], ids=["dense", "sparse"])
+    def test_sum_of_squares_below_2_53(self, monkeypatch, pool_size, threshold):
+        """Sums stay exact below the bound; at it, and where an int64 square overflows, g2 refuses."""
+        monkeypatch.setattr(photonstats, "_cpu_count", lambda: pool_size)
+        monkeypatch.setattr(photonstats, "SPARSE_MAX_OCCUPANCY", threshold)
+        counts = np.zeros(1000, dtype=np.int64)
+        counts[[0, 999]] = 2**26 - 1  # sum of squares 2^53 - 2^28 + 2, split across the ranges
+        expected = reference_coincidences(counts, 10)
+        assert np.array_equal(photonstats._coincidences(counts, 10), expected)
+        for big in (2**26, 4 * 10**9):  # 2^53 exactly; (4e9)^2 wraps in int64
+            counts[[0, 999]] = big
+            record = CountRecord(counts=counts, period=PERIOD, seed=0)
+            with pytest.raises(ValidationError, match="squared counts per pulse below 2\\^53"):
+                g2_estimator(record, 10, min_norm_coincidences=0.0)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint64])
+    def test_small_integer_dtypes(self, monkeypatch, dtype):
+        """Products of counts that fit their dtype need not: 100 * 100 wraps in int8."""
+        monkeypatch.setattr(photonstats, "SPARSE_MAX_OCCUPANCY", 1.0)  # always the pair sum
+        counts = np.zeros(1000, dtype=dtype)
+        counts[[10, 13, 500, 999]] = [100, 100, 3, 127]
+        expected = reference_coincidences(counts, 5)
+        assert expected[0] > 0 and expected[3] == 10_000
+        assert np.array_equal(photonstats._coincidences(counts, 5), expected)
 
     def test_single_event_has_no_pairs(self):
         counts = np.zeros(100, dtype=np.int64)
