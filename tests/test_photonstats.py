@@ -359,6 +359,16 @@ class TestCouplingHistogram:
         with pytest.raises(ValidationError, match="seed"):
             simulate_emitter_stream(scheme, 0.05, 3 * CHUNK, PERIOD, seed=2**64)
 
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, 2.0, "2", True])
+    def test_workers_checked_before_any_draw(self, monkeypatch, workers):
+        def no_stream(*args):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(photonstats, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(photonstats, "_stream", no_stream)
+        with pytest.raises(ValidationError, match="workers must be a positive integer"):
+            coupling_histogram(200_000, seed=1, workers=workers)
+
     def test_sample_floor(self):
         with pytest.raises(ValidationError):
             coupling_histogram(100, seed=1)
@@ -373,8 +383,9 @@ class TestDeterminism:
         assert np.array_equal(first.counts, second.counts)
 
 
-# Reference implementations: the pulse-by-pulse shelving walk and the
-# lag-by-lag coincidence sum that the array code replaced.
+# Reference implementations: the pulse-by-pulse shelving walk, the
+# lag-by-lag coincidence sum and the float64 histogram that the array code
+# replaced.
 
 
 def reference_shelf_activity(emitted, shelve_draw, recover_draw):
@@ -423,6 +434,22 @@ def reference_stream(scheme, background, n, period, seed):
         rng = np.random.Generator(np.random.Philox(key=key))
         counts = counts + rng.poisson(background, n)
     return counts
+
+
+def reference_histogram(samples, seed, bins):
+    """np.histogram of each chunk's float64 PL, from three draws of its stream."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    hist = np.zeros(bins, dtype=np.int64)
+    for cid, start in enumerate(range(0, samples, CHUNK)):
+        m = min(CHUNK, samples - start)
+        rng = photonstats._stream(seed, cid)
+        x = rng.random(m)
+        y = rng.uniform(-1.0, 1.0, m)
+        z = rng.uniform(-1.0, 1.0, m)
+        g_rel = np.abs(np.cos(x * (2.0 * math.pi)))
+        g_rel *= np.exp(-(y**2 + z**2))
+        hist += np.histogram(g_rel**2, bins=edges)[0]
+    return hist
 
 
 class TestShelvingWalk:
@@ -712,3 +739,63 @@ class TestSparseCoincidences:
         expected = np.zeros(11)
         expected[0] = 6.0
         assert np.array_equal(photonstats._coincidences(counts, 10), expected)
+
+
+class TestScreenedHistogram:
+    """The float32 screen and the float64 recompute near the edges bin as np.histogram does."""
+
+    @pytest.mark.parametrize("samples", [1000, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("bins", [2, 7, 25, 1000, 100_000])
+    def test_counts_equal_reference(self, monkeypatch, bins, samples):
+        for seed in (0, 3, 2**64 - 1):
+            expected = reference_histogram(samples, seed, bins)
+            for pool_size in (1, 2, 3):
+                monkeypatch.setattr(photonstats, "_cpu_count", lambda: pool_size)
+                trace = coupling_histogram(samples, seed, bins)
+                assert np.array_equal(trace.extra["count"], expected)
+
+    @pytest.mark.parametrize("bins", [2, 25, 1000])
+    def test_every_sample_through_the_recompute(self, monkeypatch, bins):
+        """At bins * SCREEN_MARGIN >= 0.5 the screen keeps no sample."""
+        recomputed = []
+        exact_bins = photonstats._edge_bins
+
+        def edge_bins(values, edges):
+            recomputed.append(values.size)
+            return exact_bins(values, edges)
+
+        monkeypatch.setattr(photonstats, "_edge_bins", edge_bins)
+        monkeypatch.setattr(photonstats, "SCREEN_MARGIN", 0.5 / bins)
+        samples = 2 * CHUNK + 7
+        trace = coupling_histogram(samples, 11, bins)
+        assert sum(recomputed) == samples
+        assert np.array_equal(trace.extra["count"], reference_histogram(samples, 11, bins))
+
+    @pytest.mark.parametrize("bins", [2, 7, 25, 1000, 100_000])
+    def test_edge_bins_on_every_edge(self, bins):
+        """Every edge, 0.0 and 1.0 included, and the doubles either side of it.
+
+        Both binnings grow with the value, so over sorted values equal
+        counts mean that each value lands in the same bin.
+        """
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        values = np.sort(np.concatenate([
+            edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges[:-1], 1.0),
+        ]))
+        assert values[0] == 0.0 and values[-1] == 1.0
+        got = photonstats._edge_bins(values, edges)
+        assert np.all(np.diff(got) >= 0) and got[-1] == bins - 1
+        assert np.array_equal(np.bincount(got, minlength=bins), np.histogram(values, bins=edges)[0])
+
+    def test_float32_cos_within_the_margin(self):
+        """The screen's cos errs by at most SCREEN_MARGIN / 8 on [0, 2 pi).
+
+        A dense grid, plus windows of +-1e-3 around every zero and extremum
+        of cos: at a zero the rounding of the float32 phase passes into cos
+        in full.
+        """
+        grid = np.linspace(0.0, 2.0 * math.pi, 2_000_000, endpoint=False)
+        windows = (np.arange(5)[:, None] * (math.pi / 2) + np.linspace(-1e-3, 1e-3, 200_001)).ravel()
+        theta = np.concatenate([grid, windows[(windows >= 0.0) & (windows < 2.0 * math.pi)]])
+        error = np.abs(np.cos(theta.astype(np.float32)) - np.cos(theta))
+        assert error.max() <= photonstats.SCREEN_MARGIN / 8
